@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "sim/parallel.hh"
 #include "support.hh"
 
 using namespace last;
@@ -21,7 +22,10 @@ void
 runCase(const char *label, const char *app, const GpuConfig &cfg)
 {
     workloads::WorkloadScale scale{0.5};
-    auto [h, g] = sim::runBoth(app, cfg, scale);
+    auto rs = sim::runMany({{app, IsaKind::HSAIL, cfg, scale},
+                            {app, IsaKind::GCN3, cfg, scale}});
+    sim::checkAgreement({&rs[0], &rs[1]});
+    const sim::AppResult &h = rs[0], &g = rs[1];
     std::printf("%-28s %-10s cycles H/G %8llu /%8llu   l1iMiss "
                 "H/G %6llu /%6llu   conflicts H/G %7llu /%7llu\n",
                 label, app, (unsigned long long)h.cycles,

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 
 #include "common/error.hh"
 #include "common/json_in.hh"
 #include "common/logging.hh"
 #include "obs/json.hh"
+#include "sim/shard.hh"
 
 namespace last::obs
 {
@@ -15,40 +17,46 @@ namespace last::obs
 namespace
 {
 
+/** The field-table row named `name`; an unknown name fails to
+ *  compile. */
+consteval const sim::StatField &
+statField(std::string_view name)
+{
+    for (const sim::StatField &f : sim::kStatFields)
+        if (name == f.name)
+            return f;
+    throw "no AppResult statistic by that name";
+}
+
 /** The compared statistics, in figure order. `expect` is the paper's
  *  published classification of the IL-level statistic against the
  *  machine-ISA ground truth ("" = no position taken). */
 struct Metric
 {
-    const char *stat;
+    const sim::StatField *field;
     const char *figure;
     const char *expect;
-    double (*get)(const sim::AppResult &);
 };
 
-#define METRIC(field) [](const sim::AppResult &r) { return double(r.field); }
-
-const Metric kMetrics[] = {
-    {"dynInsts", "Figure 5", "divergent", METRIC(dynInsts)},
-    {"valu", "Figure 5", "divergent", METRIC(valu)},
-    {"salu", "Figure 5", "divergent", METRIC(salu)},
-    {"vmem", "Figure 5", "similar", METRIC(vmem)},
-    {"branch", "Figure 5", "divergent", METRIC(branch)},
-    {"vrfBankConflicts", "Figure 6", "divergent", METRIC(vrfBankConflicts)},
-    {"reuseMedian", "Figure 7", "divergent", METRIC(reuseMedian)},
-    {"instFootprint", "Figure 8", "divergent", METRIC(instFootprint)},
-    {"ibFlushes", "Figure 9", "divergent", METRIC(ibFlushes)},
-    {"readUniq", "Figure 10", "similar", METRIC(readUniq)},
-    {"writeUniq", "Figure 10", "similar", METRIC(writeUniq)},
-    {"ipc", "Figure 11", "divergent", METRIC(ipc)},
-    {"cycles", "Figure 11", "divergent", METRIC(cycles)},
-    {"dataFootprint", "Table 6", "divergent", METRIC(dataFootprint)},
-    {"simdUtil", "Table 6", "similar", METRIC(simdUtil)},
-    {"coalescedLines", "", "similar", METRIC(coalescedLines)},
-    {"l1iMisses", "Figure 8", "divergent", METRIC(l1iMisses)},
+constexpr Metric kMetrics[] = {
+    {&statField("dynInsts"), "Figure 5", "divergent"},
+    {&statField("valu"), "Figure 5", "divergent"},
+    {&statField("salu"), "Figure 5", "divergent"},
+    {&statField("vmem"), "Figure 5", "similar"},
+    {&statField("branch"), "Figure 5", "divergent"},
+    {&statField("vrfBankConflicts"), "Figure 6", "divergent"},
+    {&statField("reuseMedian"), "Figure 7", "divergent"},
+    {&statField("instFootprint"), "Figure 8", "divergent"},
+    {&statField("ibFlushes"), "Figure 9", "divergent"},
+    {&statField("readUniq"), "Figure 10", "similar"},
+    {&statField("writeUniq"), "Figure 10", "similar"},
+    {&statField("ipc"), "Figure 11", "divergent"},
+    {&statField("cycles"), "Figure 11", "divergent"},
+    {&statField("dataFootprint"), "Table 6", "divergent"},
+    {&statField("simdUtil"), "Table 6", "similar"},
+    {&statField("coalescedLines"), "", "similar"},
+    {&statField("l1iMisses"), "Figure 8", "divergent"},
 };
-
-#undef METRIC
 
 /**
  * Per-workload expectation overrides. kMetrics encodes the paper's
@@ -116,25 +124,25 @@ const ExpectOverride kExpectOverrides[] = {
     {"pipeline", "l1iMisses", "similar"},
 };
 
-std::vector<IsaKind>
-allIsaList()
+/** Field `f` of `r` as a double, the metrics' common unit. */
+double
+statValue(const sim::AppResult &r, const sim::StatField &f)
 {
-    return std::vector<IsaKind>(std::begin(AllIsas), std::end(AllIsas));
+    return sim::visitStat(f, [](auto v) { return double(v); }, r);
+}
+
+/** "Divergent" means divergent in *any* pairwise cell — for a
+ *  two-level report that is exactly the v1 HSAIL↔GCN3 meaning. */
+bool
+anyPairDivergent(const DivergenceEntry &e)
+{
+    for (const DivergencePair &p : e.pairs)
+        if (p.divergent)
+            return true;
+    return false;
 }
 
 } // namespace
-
-std::string
-expectedDivergence(const std::string &workload, const std::string &stat)
-{
-    for (const ExpectOverride &o : kExpectOverrides)
-        if (workload == o.workload && stat == o.stat)
-            return o.expect;
-    for (const Metric &m : kMetrics)
-        if (stat == m.stat)
-            return m.expect;
-    return "";
-}
 
 std::string
 expectedDivergence(const std::string &workload, const std::string &stat,
@@ -142,18 +150,24 @@ expectedDivergence(const std::string &workload, const std::string &stat,
 {
     // The paper's tables only classify the HSAIL↔GCN3 comparison; any
     // pair touching PTXL is terra incognita by construction.
-    if (a == IsaKind::HSAIL && b == IsaKind::GCN3)
-        return expectedDivergence(workload, stat);
+    if (a != IsaKind::HSAIL || b != IsaKind::GCN3)
+        return "";
+    for (const ExpectOverride &o : kExpectOverrides)
+        if (workload == o.workload && stat == o.stat)
+            return o.expect;
+    for (const Metric &m : kMetrics)
+        if (stat == m.field->name)
+            return m.expect;
     return "";
 }
 
 double
-relDelta(double hsail, double gcn3)
+relDelta(double a, double b)
 {
-    double mag = std::max(std::fabs(hsail), std::fabs(gcn3));
+    double mag = std::max(std::fabs(a), std::fabs(b));
     if (mag == 0)
         return 0;
-    return std::fabs(gcn3 - hsail) / mag;
+    return std::fabs(b - a) / mag;
 }
 
 const DivergencePair *
@@ -177,15 +191,9 @@ DivergenceReport::find(const std::string &stat) const
 unsigned
 DivergenceReport::numDivergent() const
 {
-    // "Divergent" means divergent in *any* pairwise cell — for a
-    // two-level report that is exactly the v1 HSAIL↔GCN3 meaning.
     unsigned n = 0;
-    for (const DivergenceEntry &e : entries) {
-        bool any = e.divergent;
-        for (const DivergencePair &p : e.pairs)
-            any = any || p.divergent;
-        n += any;
-    }
+    for (const DivergenceEntry &e : entries)
+        n += anyPairDivergent(e);
     return n;
 }
 
@@ -213,13 +221,21 @@ divergenceReport(const std::vector<const sim::AppResult *> &results,
             return r;
         }
     }
+    try {
+        sim::checkAgreement(results);
+    } catch (const sim::IsaMismatchError &e) {
+        // One disagreeing workload fails its own report, never the
+        // batch it rides in.
+        r.failed = true;
+        r.error = std::string("isa-mismatch: ") + e.what();
+        return r;
+    }
     for (const Metric &m : kMetrics) {
         DivergenceEntry e;
-        e.stat = m.stat;
+        e.stat = m.field->name;
         e.figure = m.figure;
-        e.paperExpectation = expectedDivergence(r.workload, m.stat);
         for (const sim::AppResult *res : results)
-            e.values.push_back(m.get(*res));
+            e.values.push_back(statValue(*res, *m.field));
         for (size_t i = 0; i < isas.size(); ++i) {
             for (size_t j = i + 1; j < isas.size(); ++j) {
                 DivergencePair p;
@@ -230,14 +246,8 @@ divergenceReport(const std::vector<const sim::AppResult *> &results,
                 p.relDelta = relDelta(p.va, p.vb);
                 p.divergent = p.relDelta > threshold;
                 p.paperExpectation =
-                    expectedDivergence(r.workload, m.stat, p.a, p.b);
+                    expectedDivergence(r.workload, e.stat, p.a, p.b);
                 e.maxRelDelta = std::max(e.maxRelDelta, p.relDelta);
-                if (p.a == IsaKind::HSAIL && p.b == IsaKind::GCN3) {
-                    e.hsail = p.va;
-                    e.gcn3 = p.vb;
-                    e.relDelta = p.relDelta;
-                    e.divergent = p.divergent;
-                }
                 e.pairs.push_back(std::move(p));
             }
         }
@@ -246,7 +256,7 @@ divergenceReport(const std::vector<const sim::AppResult *> &results,
     // Rank: largest (worst-pair) relative delta first; stable keeps
     // figure order on ties so reports are deterministic and diffable.
     // A two-level report ranks exactly as v1 did: one pair, so
-    // maxRelDelta == relDelta.
+    // maxRelDelta is its relDelta.
     std::stable_sort(r.entries.begin(), r.entries.end(),
                      [](const DivergenceEntry &a, const DivergenceEntry &b) {
                          return a.maxRelDelta > b.maxRelDelta;
@@ -254,84 +264,39 @@ divergenceReport(const std::vector<const sim::AppResult *> &results,
     return r;
 }
 
-DivergenceReport
-divergenceReport(const sim::AppResult &hsail, const sim::AppResult &gcn3,
-                 double threshold)
-{
-    return divergenceReport({&hsail, &gcn3},
-                            {IsaKind::HSAIL, IsaKind::GCN3}, threshold);
-}
-
-DivergenceReport
-divergenceReport(const std::string &workload, const GpuConfig &cfg,
-                 const workloads::WorkloadScale &scale, double threshold)
-{
-    std::vector<sim::RunSpec> specs;
-    specs.reserve(NumIsas);
-    for (IsaKind isa : AllIsas)
-        specs.push_back({workload, isa, cfg, scale});
-    std::vector<sim::AppResult> rs = sim::runMany(specs);
-    // runBoth's contract, generalized: every machine level must agree
-    // functionally with the IL level (and hence with each other).
-    for (size_t i = 1; i < rs.size(); ++i)
-        sim::checkIsaAgreement(rs[0], rs[i]);
-    std::vector<const sim::AppResult *> ptrs;
-    for (const sim::AppResult &res : rs)
-        ptrs.push_back(&res);
-    DivergenceReport r = divergenceReport(ptrs, allIsaList(), threshold);
-    r.scale = scale.factor;
-    return r;
-}
-
 std::vector<DivergenceReport>
 divergenceReports(const std::vector<std::string> &workloads,
-                  const GpuConfig &cfg,
                   const workloads::WorkloadScale &scale, double threshold,
                   unsigned jobs)
 {
+    // One ISA group per distinct workload: a repeated argument shares
+    // its group's report instead of simulating it again.
     std::vector<sim::RunSpec> specs;
-    specs.reserve(NumIsas * workloads.size());
-    for (const std::string &w : workloads)
-        for (IsaKind isa : AllIsas)
-            specs.push_back({w, isa, cfg, scale});
-    sim::SweepOptions opts;
+    for (const std::string &w : workloads) {
+        bool seen = false;
+        for (const sim::RunSpec &s : specs)
+            seen = seen || s.workload == w;
+        if (!seen)
+            for (IsaKind isa : AllIsas)
+                specs.push_back({w, isa, GpuConfig{}, scale});
+    }
+    sim::ShardRunOptions opts;
     opts.jobs = jobs;
-    sim::SweepReport sweep = sim::runSweep(specs, opts);
+    sim::ShardRunOutcome run =
+        sim::runShard(sim::makeShardManifests(specs, 1)[0], opts);
+    std::vector<DivergenceReport> byGroup =
+        sim::divergenceFromCache(run.cache, threshold);
 
+    // divergenceFromCache answers in canonical cache order; hand the
+    // reports back in argument order.
     std::vector<DivergenceReport> out;
     out.reserve(workloads.size());
-    for (size_t i = 0; i < workloads.size(); ++i) {
-        std::vector<const sim::AppResult *> ptrs;
-        bool anyQuarantined = false;
-        for (unsigned k = 0; k < NumIsas; ++k) {
-            const sim::AppResult &res = sweep.results[NumIsas * i + k];
-            anyQuarantined = anyQuarantined || res.quarantined;
-            ptrs.push_back(&res);
-        }
-        DivergenceReport r;
-        if (!anyQuarantined) {
-            // runSweep does not enforce the functional differential
-            // invariant (each level ran independently); restore
-            // runBoth's contract here, degrading to a failed report
-            // instead of throwing so one workload cannot kill a sweep.
-            try {
-                for (size_t k = 1; k < ptrs.size(); ++k)
-                    sim::checkIsaAgreement(*ptrs[0], *ptrs[k]);
-                r = divergenceReport(ptrs, allIsaList(), threshold);
-            } catch (const sim::IsaMismatchError &e) {
-                r.workload = workloads[i];
-                r.isas = allIsaList();
-                r.failed = true;
-                r.error = std::string("isa-mismatch: ") + e.what();
+    for (const std::string &w : workloads)
+        for (const DivergenceReport &r : byGroup)
+            if (r.workload == w) {
+                out.push_back(r);
+                break;
             }
-        } else {
-            r = divergenceReport(ptrs, allIsaList(), threshold);
-            r.workload = workloads[i];
-        }
-        r.scale = scale.factor;
-        r.threshold = threshold;
-        out.push_back(std::move(r));
-    }
     return out;
 }
 
@@ -490,27 +455,21 @@ readOneReport(const JsonValue &root, const std::string &source)
         e.figure =
             asString(require(je, "figure", source), "figure", source);
         if (v1) {
-            e.hsail =
-                asDouble(require(je, "hsail", source), "hsail", source);
-            e.gcn3 =
-                asDouble(require(je, "gcn3", source), "gcn3", source);
-            e.relDelta = asDouble(require(je, "rel_delta", source),
-                                  "rel_delta", source);
-            e.divergent = asString(require(je, "classification", source),
-                                   "classification", source) ==
-                          "divergent";
-            e.paperExpectation =
-                asString(require(je, "paper", source), "paper", source);
-            e.values = {e.hsail, e.gcn3};
-            e.maxRelDelta = e.relDelta;
+            // v1's flat fields are its one HSAIL↔GCN3 cell.
             DivergencePair p;
             p.a = IsaKind::HSAIL;
             p.b = IsaKind::GCN3;
-            p.va = e.hsail;
-            p.vb = e.gcn3;
-            p.relDelta = e.relDelta;
-            p.divergent = e.divergent;
-            p.paperExpectation = e.paperExpectation;
+            p.va = asDouble(require(je, "hsail", source), "hsail", source);
+            p.vb = asDouble(require(je, "gcn3", source), "gcn3", source);
+            p.relDelta = asDouble(require(je, "rel_delta", source),
+                                  "rel_delta", source);
+            p.divergent = asString(require(je, "classification", source),
+                                   "classification", source) ==
+                          "divergent";
+            p.paperExpectation =
+                asString(require(je, "paper", source), "paper", source);
+            e.values = {p.va, p.vb};
+            e.maxRelDelta = p.relDelta;
             e.pairs.push_back(std::move(p));
         } else {
             const JsonValue &values = require(je, "values", source);
@@ -547,13 +506,6 @@ readOneReport(const JsonValue &root, const std::string &source)
                 p.paperExpectation = asString(
                     require(jp, "paper", source), "paper", source);
                 e.maxRelDelta = std::max(e.maxRelDelta, p.relDelta);
-                if (p.a == IsaKind::HSAIL && p.b == IsaKind::GCN3) {
-                    e.hsail = p.va;
-                    e.gcn3 = p.vb;
-                    e.relDelta = p.relDelta;
-                    e.divergent = p.divergent;
-                    e.paperExpectation = p.paperExpectation;
-                }
                 e.pairs.push_back(std::move(p));
             }
         }
@@ -607,9 +559,8 @@ writeDivergenceText(std::ostream &os, const DivergenceReport &r)
                   "class", "paper");
     os << buf;
     for (const DivergenceEntry &e : r.entries) {
-        bool any = e.divergent;
-        for (const DivergencePair &p : e.pairs)
-            any = any || p.divergent;
+        const DivergencePair *paper =
+            e.findPair(IsaKind::HSAIL, IsaKind::GCN3);
         std::snprintf(buf, sizeof(buf), "   %-18s %-9s", e.stat.c_str(),
                       e.figure.c_str());
         os << buf;
@@ -619,8 +570,8 @@ writeDivergenceText(std::ostream &os, const DivergenceReport &r)
         }
         std::snprintf(buf, sizeof(buf), " %8.2f  %-9s %s\n",
                       100 * e.maxRelDelta,
-                      any ? "DIVERGENT" : "similar",
-                      e.paperExpectation.c_str());
+                      anyPairDivergent(e) ? "DIVERGENT" : "similar",
+                      paper ? paper->paperExpectation.c_str() : "");
         os << buf;
     }
 }

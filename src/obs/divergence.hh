@@ -10,13 +10,14 @@
  * the PTXL (NVIDIA-flavored) backend it answers a question the source
  * paper could not: do the IL-level pitfalls persist, shrink, or invert
  * on a second, differently-shaped machine level? Each report runs one
- * workload at every level (via the runSweep differential paths),
- * computes the relative delta of every per-figure statistic for every
- * ISA pair, ranks the statistics by their worst pairwise delta, and
- * classifies each pair against a threshold — reproducing the
- * accurate-vs-inaccurate classification of Table 7 / Figures 5–12
- * automatically, per vendor. Ranking rules are documented in DESIGN.md
- * §5; scripts/report_divergence.sh is the CLI front-end.
+ * workload at every level (via the runShard sweep path), checks that
+ * the levels agree functionally, computes the relative delta of every
+ * per-figure statistic for every ISA pair, ranks the statistics by
+ * their worst pairwise delta, and classifies each pair against a
+ * threshold — reproducing the accurate-vs-inaccurate classification
+ * of Table 7 / Figures 5–12 automatically, per vendor. Ranking rules
+ * are documented in DESIGN.md §5; scripts/report_divergence.sh is the
+ * CLI front-end.
  *
  * The HSAIL↔GCN3 pair of a v2 report carries exactly the values the
  * v1 (two-ISA) report carried: adding a column must never perturb the
@@ -75,21 +76,13 @@ struct DivergenceEntry
     std::vector<double> values;
     /** All unordered ISA pairs, upper-triangle order over `isas`. */
     std::vector<DivergencePair> pairs;
-    /** Ranking key: the worst pairwise relDelta. Equals relDelta when
-     *  the report covers only HSAIL and GCN3, so two-ISA reports rank
-     *  exactly as v1 did. */
+    /** Ranking key: the worst pairwise relDelta. A report covering
+     *  only HSAIL and GCN3 has one pair, so it ranks exactly as v1
+     *  did. */
     double maxRelDelta = 0;
 
-    /** @{ The HSAIL↔GCN3 pair's values, kept as first-class members
-     *  so v1-era consumers (and the "values unchanged from v1"
-     *  invariant) read them without digging through `pairs`. */
-    double hsail = 0;
-    double gcn3 = 0;
-    double relDelta = 0;     ///< |g - h| / max(|h|, |g|); 0 if both 0
-    bool divergent = false;  ///< relDelta > threshold
-    std::string paperExpectation;
-    /** @} */
-
+    /** The (a, b) cell in either order, e.g. findPair(HSAIL, GCN3) for
+     *  the comparison the paper studied; nullptr if not covered. */
     const DivergencePair *findPair(IsaKind a, IsaKind b) const;
 };
 
@@ -117,62 +110,49 @@ struct DivergenceReport
     unsigned numDivergent() const;
 };
 
-/** |g - h| scaled by the larger magnitude; 0 when both are 0, so
+/** |b - a| scaled by the larger magnitude; 0 when both are 0, so
  *  legitimately-zero stats (e.g. hazardViolations) never rank. */
-double relDelta(double hsail, double gcn3);
+double relDelta(double a, double b);
 
 /**
  * Expected classification ("divergent", "similar", or "" for no
- * position) of `stat` when measured under `workload`. Per-workload
- * overrides — the stress workloads beyond Table 5 have their own
- * golden signatures — take precedence over the paper's per-figure
- * default from the Table 5 geomean. This two-argument form answers
- * for the pair the paper studied (HSAIL↔GCN3).
+ * position) of `stat` when measured under `workload`, for the ISA pair
+ * (a, b). Per-workload overrides — the stress workloads beyond Table 5
+ * have their own golden signatures — take precedence over the paper's
+ * per-figure default from the Table 5 geomean. The paper's tables only
+ * cover HSAIL↔GCN3, the default pair, so any pair involving PTXL
+ * answers "" (no position) — those cells are the new result, not a
+ * reproduction.
  */
 std::string expectedDivergence(const std::string &workload,
-                               const std::string &stat);
-
-/** Pair-aware form: the paper's tables only cover HSAIL↔GCN3, so any
- *  pair involving PTXL answers "" (no position) — those cells are the
- *  new result, not a reproduction. */
-std::string expectedDivergence(const std::string &workload,
-                               const std::string &stat, IsaKind a,
-                               IsaKind b);
+                               const std::string &stat,
+                               IsaKind a = IsaKind::HSAIL,
+                               IsaKind b = IsaKind::GCN3);
 
 /**
  * Build a report from already-run results, one per ISA. `results[i]`
  * was measured at `isas[i]`; the vectors must be the same length and
- * hold at least two levels. Quarantined results degrade the report to
- * failed (first quarantined level's error wins).
+ * hold at least two levels. The report degrades to failed, with no
+ * entries, when a result is quarantined (the first quarantined
+ * level's error wins) or when the levels disagree functionally
+ * (sim::checkAgreement; error `isa-mismatch: <what>`).
  */
 DivergenceReport divergenceReport(
     const std::vector<const sim::AppResult *> &results,
     const std::vector<IsaKind> &isas,
     double threshold = DefaultDivergenceThreshold);
 
-/** v1-compat form: build a two-level report from an HSAIL/GCN3 pair
- *  (positional — the results' own isa fields are not consulted). */
-DivergenceReport divergenceReport(
-    const sim::AppResult &hsail, const sim::AppResult &gcn3,
-    double threshold = DefaultDivergenceThreshold);
-
-/** Run `workload` at every level (runBoth semantics: functional
- *  agreement of each machine ISA against HSAIL enforced) and build
- *  the full N×N report. */
-DivergenceReport divergenceReport(
-    const std::string &workload, const GpuConfig &cfg = GpuConfig{},
-    const workloads::WorkloadScale &scale = {},
-    double threshold = DefaultDivergenceThreshold);
-
 /**
- * Reports for many workloads, driven by the parallel sweep driver
- * (sim::runSweep): all N×NumIsas simulations run concurrently and a
- * quarantined run fails only its own workload's report (failed +
- * error), never the batch.
+ * Reports for many workloads at one scale on the Table 4 machine:
+ * every level of every distinct workload runs as one sim::runShard
+ * (work-stealing sweep, quarantine, serial retry) and
+ * sim::divergenceFromCache builds the reports, the path `last_sweep`
+ * and `last_serve` take too. One report per argument, in argument
+ * order; a quarantined or disagreeing workload fails only its own
+ * report, never the batch.
  */
 std::vector<DivergenceReport> divergenceReports(
     const std::vector<std::string> &workloads,
-    const GpuConfig &cfg = GpuConfig{},
     const workloads::WorkloadScale &scale = {},
     double threshold = DefaultDivergenceThreshold, unsigned jobs = 0);
 

@@ -334,89 +334,60 @@ namespace
 {
 
 /** Serve a divergence query from the store, simulating only the
- *  missing (workload, ISA) levels, and derive the report through the
- *  same cache representation the shard/merge paths use — which is
- *  what makes the payload byte-identical to the offline artifact. */
+ *  missing (workload, ISA) levels: one runShard reusing the stored
+ *  rows, then divergenceFromCache — the offline `last_obs diverge`
+ *  path, which is what makes the payload byte-identical to the
+ *  offline artifact. */
 PayloadOut
 doDiverge(const ServeRequest &req, const ServeOptions &opts,
           std::mutex &storeMu, std::map<double, sim::BenchCacheFile> &store,
           ServeCounters &counters, std::mutex &countersMu)
 {
-    using sim::CachedRun;
-
-    const workloads::WorkloadScale ws = scaleOf(req);
-    const GpuConfig cfg = configOf(req);
-    sim::RunSpec specs[NumIsas];
-    CachedRun rows[NumIsas];
-    bool have[NumIsas] = {};
-    for (unsigned k = 0; k < NumIsas; ++k) {
-        specs[k] = {req.workload, AllIsas[k], cfg, ws};
-        rows[k].key = sim::specCacheKey(specs[k]);
-    }
+    std::vector<sim::RunSpec> specs;
+    for (IsaKind isa : AllIsas)
+        specs.push_back({req.workload, isa, GpuConfig{}, scaleOf(req)});
+    sim::BenchCacheFile stored;
     {
         std::lock_guard<std::mutex> g(storeMu);
         auto it = store.find(req.scale);
-        if (it != store.end()) {
-            for (unsigned k = 0; k < NumIsas; ++k) {
-                if (const CachedRun *hit = it->second.find(rows[k].key)) {
-                    rows[k] = *hit;
-                    have[k] = true;
-                }
-            }
-        }
+        if (it != store.end())
+            for (const sim::RunSpec &s : specs)
+                if (const sim::CachedRun *hit =
+                        it->second.find(sim::specCacheKey(s)))
+                    stored.rows.push_back(*hit);
     }
 
-    std::vector<sim::RunSpec> toRun;
-    for (unsigned k = 0; k < NumIsas; ++k)
-        if (!have[k])
-            toRun.push_back(specs[k]);
-
-    size_t hits = 0, newlyQuarantined = 0;
-    for (unsigned k = 0; k < NumIsas; ++k)
-        hits += have[k];
-    if (!toRun.empty()) {
-        sim::SweepOptions so;
-        so.jobs = opts.simJobs;
-        so.retryFailed = opts.retryFailed;
-        sim::SweepReport sweep = sim::runSweep(toRun, so);
-        size_t i = 0;
-        for (unsigned k = 0; k < NumIsas; ++k)
-            if (!have[k])
-                rows[k].result = std::move(sweep.results[i++]);
+    sim::ShardRunOptions so;
+    so.jobs = opts.simJobs;
+    so.retryFailed = opts.retryFailed;
+    so.reuse = &stored;
+    so.timeoutMs = req.timeoutMs;
+    sim::ShardRunOutcome run =
+        sim::runShard(sim::makeShardManifests(specs, 1)[0], so);
+    if (run.simulated) {
         std::lock_guard<std::mutex> g(storeMu);
         sim::BenchCacheFile &file = store[req.scale];
         file.scale = req.scale;
-        for (const CachedRun &row : rows) {
-            if (row.result.quarantined) {
-                // Quarantined results are degraded responses, never
-                // reusable rows: the next identical request retries.
-                ++newlyQuarantined;
-                continue;
-            }
-            if (!file.find(row.key))
+        // Quarantined results are degraded responses, never reusable
+        // rows: the next identical request retries.
+        for (const sim::CachedRun &row : run.cache.rows)
+            if (!row.result.quarantined && !file.find(row.key))
                 file.rows.push_back(row);
-        }
     }
     {
         std::lock_guard<std::mutex> g(countersMu);
-        counters.cacheRowHits += hits;
-        counters.simulatedSpecs += toRun.size();
-        counters.quarantinedSpecs += newlyQuarantined;
+        counters.cacheRowHits += run.reused;
+        counters.simulatedSpecs += run.simulated;
+        counters.quarantinedSpecs += run.quarantined;
     }
 
-    sim::BenchCacheFile group;
-    group.scale = req.scale;
-    group.rows.assign(std::begin(rows), std::end(rows));
-    auto reports = sim::divergenceFromCache(group, req.threshold);
-
     PayloadOut out;
-    out.servedFrom = toRun.empty() ? "cache" : "sim";
-    out.quarantined = false;
-    for (const CachedRun &row : rows)
-        out.quarantined = out.quarantined || row.result.quarantined;
+    out.servedFrom = run.simulated ? "sim" : "cache";
+    out.quarantined = run.quarantined > 0;
     out.schema = "last-divergence-v2";
     std::ostringstream os;
-    obs::writeDivergenceJsonArray(os, reports);
+    obs::writeDivergenceJsonArray(
+        os, sim::divergenceFromCache(run.cache, req.threshold));
     out.bytes = os.str();
     return out;
 }

@@ -14,17 +14,16 @@
  *  2. **Bench-row reuse** — completed results live in an in-memory
  *     bench-cache representation (sim/bench_cache.hh), per scale,
  *     optionally preloaded from a `last_bench_cache.csv`. A divergence
- *     query whose (workload, ISA, seed, knob-digest) rows are both
- *     present is answered through sim::divergenceFromCache without
- *     simulating anything — and because cache rows round-trip doubles
- *     exactly, the streamed `last-divergence-v1` payload is
- *     byte-identical to what the offline `last_obs diverge` run
- *     produces for the same spec.
+ *     query is one sim::runShard that reuses the stored (workload,
+ *     ISA, seed, knob-digest) rows, then sim::divergenceFromCache —
+ *     the offline `last_obs diverge` path — so a query whose rows are
+ *     all present simulates nothing, and because cache rows
+ *     round-trip doubles exactly, the streamed `last-divergence-v2`
+ *     payload is byte-identical to the offline artifact.
  *  3. **Warm ArtifactCache** — when a simulation is unavoidable, the
  *     process-wide kernel-artifact cache (sim/artifact_cache.hh) still
- *     amortizes IL build + finalization across requests; the
- *     simulations themselves go through sim::runSweep, i.e. the PR 6
- *     work-stealing parallelInvoke pool.
+ *     amortizes IL build + finalization across requests; the missing
+ *     levels run on runShard's work-stealing parallelInvoke pool.
  *
  * Traffic shaping and fault isolation:
  *  - **Admission control**: the pending-request queue is bounded;

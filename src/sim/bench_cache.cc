@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/error.hh"
 #include "common/logging.hh"
@@ -63,20 +64,17 @@ writeRow(std::ostream &os, const CachedRun &row)
            << sanitizeMessage(r.errorMessage) << '\n';
         return;
     }
-    os << r.workload << ',' << isaName(r.isa) << ',' << r.verified
-       << ',' << r.digest << ',' << r.dynInsts << ',' << r.valu << ','
-       << r.salu << ',' << r.vmem << ',' << r.smem << ',' << r.lds
-       << ',' << r.branch << ',' << r.waitcnt << ',' << r.misc << ','
-       << r.cycles << ',' << num(r.ipc) << ',' << r.vrfBankConflicts
-       << ',' << num(r.reuseMedian) << ',' << r.instFootprint << ','
-       << r.ibFlushes << ',' << num(r.readUniq) << ','
-       << num(r.writeUniq) << ',' << num(r.vrfUniq) << ','
-       << r.dataFootprint << ',' << num(r.simdUtil) << ','
-       << r.l1iMisses << ',' << r.l1iHits << ',' << r.hazardViolations
-       << ',' << r.scoreboardStalls << ',' << r.waitcntStalls << ','
-       << r.ibEmptyStalls << ',' << r.fuConflictStalls << ','
-       << r.coalescedLines << ',' << r.busyCycles << ','
-       << row.key.seed << ',' << row.key.knobDigest << '\n';
+    os << r.workload << ',' << isaName(r.isa);
+    for (const StatField &f : kStatFields) {
+        os << ',';
+        visitStat(f, [&os](auto v) {
+            if constexpr (std::is_same_v<decltype(v), double>)
+                os << num(v);
+            else
+                os << v;
+        }, r);
+    }
+    os << ',' << row.key.seed << ',' << row.key.knobDigest << '\n';
     for (const auto &l : r.launches)
         os << "launch," << l.kernel << ',' << l.cycles << ','
            << l.instsIssued << '\n';
@@ -195,6 +193,24 @@ struct FieldCursor
                       offset);
         }
     }
+
+    /** A bool column holds exactly "0" or "1", so a strict parse
+     *  followed by a write reproduces the bytes. */
+    bool
+    flag(const char *field)
+    {
+        std::string tok = next(field);
+        if (tok != "0" && tok != "1")
+            failCache(source,
+                      std::string("field '") + field +
+                          "' is not a bool ('" + tok + "')",
+                      offset);
+        return tok == "1";
+    }
+
+    void read(const char *field, uint64_t &v) { v = u64(field); }
+    void read(const char *field, double &v) { v = f64(field); }
+    void read(const char *field, bool &v) { v = flag(field); }
 
     std::string
     rest()
@@ -350,37 +366,8 @@ readBenchCacheStrict(std::istream &is, BenchCacheFile &out,
         } else {
             r.workload = first;
             r.isa = parseIsaTag(fc.next("isa"), source, off);
-            r.verified = int(fc.u64("verified"));
-            r.digest = fc.u64("digest");
-            r.dynInsts = fc.u64("dynInsts");
-            r.valu = fc.u64("valu");
-            r.salu = fc.u64("salu");
-            r.vmem = fc.u64("vmem");
-            r.smem = fc.u64("smem");
-            r.lds = fc.u64("lds");
-            r.branch = fc.u64("branch");
-            r.waitcnt = fc.u64("waitcnt");
-            r.misc = fc.u64("misc");
-            r.cycles = fc.u64("cycles");
-            r.ipc = fc.f64("ipc");
-            r.vrfBankConflicts = fc.u64("vrfBankConflicts");
-            r.reuseMedian = fc.f64("reuseMedian");
-            r.instFootprint = fc.u64("instFootprint");
-            r.ibFlushes = fc.u64("ibFlushes");
-            r.readUniq = fc.f64("readUniq");
-            r.writeUniq = fc.f64("writeUniq");
-            r.vrfUniq = fc.f64("vrfUniq");
-            r.dataFootprint = fc.u64("dataFootprint");
-            r.simdUtil = fc.f64("simdUtil");
-            r.l1iMisses = fc.u64("l1iMisses");
-            r.l1iHits = fc.u64("l1iHits");
-            r.hazardViolations = fc.u64("hazardViolations");
-            r.scoreboardStalls = fc.u64("scoreboardStalls");
-            r.waitcntStalls = fc.u64("waitcntStalls");
-            r.ibEmptyStalls = fc.u64("ibEmptyStalls");
-            r.fuConflictStalls = fc.u64("fuConflictStalls");
-            r.coalescedLines = fc.u64("coalescedLines");
-            r.busyCycles = fc.u64("busyCycles");
+            for (const StatField &f : kStatFields)
+                visitStat(f, [&](auto &v) { fc.read(f.name, v); }, r);
             row.key.workload = r.workload;
             row.key.isa = r.isa;
             row.key.seed = fc.u64("seed");

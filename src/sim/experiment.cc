@@ -2,9 +2,6 @@
 
 #include <sstream>
 
-#include "common/logging.hh"
-#include "sim/parallel.hh"
-
 namespace last::sim
 {
 
@@ -29,27 +26,9 @@ runApp(const std::string &workload, IsaKind isa, const GpuConfig &cfg,
     // Resolve each stat name to its CU-local index once, then sum by
     // index — the repeated per-CU string lookups the harness used to
     // pay are not free when every sweep run ends here.
-    auto sum = [&gpu](const char *name) {
-        return uint64_t(gpu.sumCuStat(gpu.cuStatIndex(name)));
-    };
-    r.dynInsts = sum("dynInsts");
-    r.valu = sum("valuInsts");
-    r.salu = sum("saluInsts");
-    r.vmem = sum("vmemInsts");
-    r.smem = sum("smemInsts");
-    r.lds = sum("ldsInsts");
-    r.branch = sum("branchInsts");
-    r.waitcnt = sum("waitcntInsts");
-    r.misc = sum("miscInsts");
-    r.vrfBankConflicts = sum("vrfBankConflicts");
-    r.ibFlushes = sum("ibFlushes");
-    r.hazardViolations = sum("hazardViolations");
-    r.scoreboardStalls = sum("scoreboardStalls");
-    r.waitcntStalls = sum("waitcntStalls");
-    r.ibEmptyStalls = sum("ibEmptyStalls");
-    r.fuConflictStalls = sum("fuConflictStalls");
-    r.coalescedLines = sum("coalescedLines");
-    r.busyCycles = sum("busyCycles");
+    for (const StatField &f : kStatFields)
+        if (f.cuStat)
+            r.*f.u64 = uint64_t(gpu.sumCuStat(gpu.cuStatIndex(f.cuStat)));
 
     // Merged histograms / weighted averages over CUs.
     stats::Histogram reuse(nullptr, "reuse", "merged");
@@ -95,15 +74,6 @@ runApp(const std::string &workload, IsaKind isa, const GpuConfig &cfg,
     return r;
 }
 
-std::pair<AppResult, AppResult>
-runBoth(const std::string &workload, const GpuConfig &cfg,
-        const workloads::WorkloadScale &scale)
-{
-    // The two ISA-level runs are independent simulations; overlap them
-    // on the worker pool (LAST_JOBS=1 recovers the serial path).
-    return runBothParallel(workload, cfg, scale);
-}
-
 std::string
 MismatchReport::format() const
 {
@@ -111,7 +81,8 @@ MismatchReport::format() const
     os << "cross-ISA mismatch in " << workload << ": " << field;
     if (launchIndex >= 0)
         os << " (launch " << launchIndex << ")";
-    os << " diverges: HSAIL=" << hsailValue << " GCN3=" << gcn3Value;
+    os << " diverges: " << isaName(a.isa) << "=" << a.value << " "
+       << isaName(b.isa) << "=" << b.value;
     return os.str();
 }
 
@@ -121,35 +92,41 @@ IsaMismatchError::IsaMismatchError(MismatchReport report)
 {}
 
 void
-checkIsaAgreement(const AppResult &hsail, const AppResult &gcn3)
+checkAgreement(const std::vector<const AppResult *> &levels)
 {
-    auto mismatch = [&](const std::string &field, int launch,
-                        const std::string &h, const std::string &g) {
-        MismatchReport r;
-        r.workload = hsail.workload;
-        r.field = field;
-        r.launchIndex = launch;
-        r.hsailValue = h;
-        r.gcn3Value = g;
-        throw IsaMismatchError(std::move(r));
-    };
+    if (levels.empty())
+        return;
+    const AppResult &ref = *levels[0];
+    for (size_t k = 1; k < levels.size(); ++k) {
+        const AppResult &other = *levels[k];
+        auto mismatch = [&](const std::string &field, int launch,
+                            const std::string &va, const std::string &vb) {
+            MismatchReport r;
+            r.workload = ref.workload;
+            r.field = field;
+            r.launchIndex = launch;
+            r.a = {ref.isa, va};
+            r.b = {other.isa, vb};
+            throw IsaMismatchError(std::move(r));
+        };
 
-    if (hsail.workload != gcn3.workload)
-        mismatch("workload", -1, hsail.workload, gcn3.workload);
-    if (hsail.verified != gcn3.verified)
-        mismatch("verified", -1, hsail.verified ? "true" : "false",
-                 gcn3.verified ? "true" : "false");
-    if (hsail.digest != gcn3.digest)
-        mismatch("digest", -1, std::to_string(hsail.digest),
-                 std::to_string(gcn3.digest));
-    if (hsail.launches.size() != gcn3.launches.size())
-        mismatch("launches.size", -1,
-                 std::to_string(hsail.launches.size()),
-                 std::to_string(gcn3.launches.size()));
-    for (size_t i = 0; i < hsail.launches.size(); ++i) {
-        if (hsail.launches[i].kernel != gcn3.launches[i].kernel)
-            mismatch("launch.kernel", int(i), hsail.launches[i].kernel,
-                     gcn3.launches[i].kernel);
+        if (ref.workload != other.workload)
+            mismatch("workload", -1, ref.workload, other.workload);
+        if (ref.verified != other.verified)
+            mismatch("verified", -1, ref.verified ? "true" : "false",
+                     other.verified ? "true" : "false");
+        if (ref.digest != other.digest)
+            mismatch("digest", -1, std::to_string(ref.digest),
+                     std::to_string(other.digest));
+        if (ref.launches.size() != other.launches.size())
+            mismatch("launches.size", -1,
+                     std::to_string(ref.launches.size()),
+                     std::to_string(other.launches.size()));
+        for (size_t i = 0; i < ref.launches.size(); ++i) {
+            if (ref.launches[i].kernel != other.launches[i].kernel)
+                mismatch("launch.kernel", int(i), ref.launches[i].kernel,
+                         other.launches[i].kernel);
+        }
     }
 }
 

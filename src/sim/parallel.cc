@@ -241,21 +241,6 @@ runMany(const std::vector<RunSpec> &specs, unsigned jobs)
     return out;
 }
 
-std::pair<AppResult, AppResult>
-runBothParallel(const std::string &workload, const GpuConfig &cfg,
-                const workloads::WorkloadScale &scale, unsigned jobs)
-{
-    auto rs = runMany({{workload, IsaKind::HSAIL, cfg, scale},
-                       {workload, IsaKind::GCN3, cfg, scale}},
-                      jobs);
-    // The differential invariant: functional results must be identical
-    // across abstraction levels. Catch divergence at the source with a
-    // structured report rather than letting it surface as a confusing
-    // figure 20 tables later.
-    checkIsaAgreement(rs[0], rs[1]);
-    return {std::move(rs[0]), std::move(rs[1])};
-}
-
 namespace
 {
 

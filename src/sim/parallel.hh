@@ -26,7 +26,6 @@
 #include <exception>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/experiment.hh"
@@ -98,15 +97,6 @@ void parallelInvokeStatic(const std::vector<std::function<void()>> &tasks,
  *  quarantining variant. */
 std::vector<AppResult> runMany(const std::vector<RunSpec> &specs,
                                unsigned jobs = 0);
-
-/** Both ISA levels of one workload, concurrently.
- *  Index 0 = HSAIL, 1 = GCN3 (same contract as runBoth): verifies
- *  cross-ISA agreement, throwing IsaMismatchError on divergence. */
-std::pair<AppResult, AppResult>
-runBothParallel(const std::string &workload,
-                const GpuConfig &cfg = GpuConfig{},
-                const workloads::WorkloadScale &scale = {},
-                unsigned jobs = 0);
 
 /** A sweep entry whose simulation threw — in the parallel pass and
  *  again (when retry is enabled) in a clean serial retry. */

@@ -251,49 +251,25 @@ divergenceFromCache(const BenchCacheFile &cache, double threshold)
             if (k < NumIsas && !byIsa[k])
                 byIsa[k] = ordered[j];
         }
-        const CachedRun *missing = nullptr;
         std::string missingIsa;
-        for (unsigned k = 0; k < NumIsas; ++k)
+        std::vector<const AppResult *> results;
+        for (unsigned k = 0; k < NumIsas; ++k) {
             if (!byIsa[k]) {
-                missing = ordered[i];
                 missingIsa = isaName(AllIsas[k]);
                 break;
             }
+            results.push_back(&byIsa[k]->result);
+        }
 
         obs::DivergenceReport r;
-        if (!missing) {
-            std::vector<const AppResult *> results;
-            bool anyQuarantined = false;
-            for (unsigned k = 0; k < NumIsas; ++k) {
-                results.push_back(&byIsa[k]->result);
-                anyQuarantined =
-                    anyQuarantined || byIsa[k]->result.quarantined;
-            }
-            if (!anyQuarantined) {
-                // Restore runBoth's functional contract, degrading to
-                // a failed report instead of throwing (one bad
-                // workload must not kill the batch).
-                try {
-                    for (size_t k = 1; k < results.size(); ++k)
-                        checkIsaAgreement(*results[0], *results[k]);
-                    r = obs::divergenceReport(results, allIsas,
-                                              threshold);
-                } catch (const IsaMismatchError &e) {
-                    r.workload = ordered[i]->key.workload;
-                    r.isas = allIsas;
-                    r.failed = true;
-                    r.error = std::string("isa-mismatch: ") + e.what();
-                }
-            } else {
-                r = obs::divergenceReport(results, allIsas, threshold);
-                r.workload = ordered[i]->key.workload;
-            }
+        if (missingIsa.empty()) {
+            r = obs::divergenceReport(results, allIsas, threshold);
         } else {
-            r.workload = missing->key.workload;
             r.failed = true;
             r.error = "missing " + missingIsa +
                       " row in the merged cache";
         }
+        r.workload = ordered[i]->key.workload;
         r.scale = cache.scale;
         r.threshold = threshold;
         out.push_back(std::move(r));

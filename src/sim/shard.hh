@@ -17,7 +17,7 @@
  *     AppResult depends only on its spec, never on scheduling — the
  *     work-stealing schedule (sim/parallel.cc) decides who runs a
  *     spec, not what it produces;
- *  2. HSAIL/GCN3 pairs are kept in one shard (splitting is by pair
+ *  2. each workload's ISA group is kept in one shard (splitting is by
  *     group, round-robin), so per-workload divergence reports never
  *     straddle a shard boundary;
  *  3. cache files are written in canonical key order
@@ -69,13 +69,14 @@ struct ShardManifest
 RunSpec specFromEntry(const ShardEntry &e);
 
 /**
- * Split a spec matrix into `shards` manifests. Specs are grouped in
- * consecutive pairs (the canonical matrix interleaves HSAIL/GCN3 per
- * workload, and a divergence report needs both halves in one shard)
- * and pair group g lands in shard g % shards — round-robin, so a
- * skewed matrix (bfsgraph next to vecadd) spreads its heavy workloads
- * across shards instead of stacking them into one. Deterministic:
- * same specs and shard count, same manifests, always.
+ * Split a spec matrix into `shards` manifests. Specs are grouped
+ * NumIsas at a time (the canonical matrix lists every ISA of a
+ * workload consecutively, and a divergence report needs the whole
+ * group in one shard) and group g lands in shard g % shards —
+ * round-robin, so a skewed matrix (bfsgraph next to vecadd) spreads
+ * its heavy workloads across shards instead of stacking them into
+ * one. Deterministic: same specs and shard count, same manifests,
+ * always.
  */
 std::vector<ShardManifest>
 makeShardManifests(const std::vector<RunSpec> &specs, unsigned shards);
@@ -132,13 +133,14 @@ ShardRunOutcome runShard(const ShardManifest &m,
                          const ShardRunOptions &opts = {});
 
 /**
- * Divergence reports reconstructed from cache rows: rows are paired
- * (HSAIL, GCN3) per (workload, seed, knob-digest) in canonical order;
- * a quarantined or missing half degrades that workload's report to
- * failed, exactly like the live runSweep-backed batch. Both the
- * single-process and the merged path derive their report from the
- * same cache representation, which is what makes the two reports
- * byte-identical.
+ * Divergence reports reconstructed from cache rows: rows are grouped
+ * one per ISA by (workload, seed, knob-digest), in canonical order.
+ * obs::divergenceReport checks each group's functional agreement and
+ * degrades a quarantined or disagreeing group to a failed report; a
+ * missing row fails it too. Every report path (`last_obs diverge`,
+ * the single-process and merged `last_sweep`, `last_serve`) derives
+ * its reports here from the same cache representation, which is what
+ * makes their reports byte-identical.
  */
 std::vector<obs::DivergenceReport>
 divergenceFromCache(const BenchCacheFile &cache,

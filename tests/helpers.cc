@@ -1,6 +1,12 @@
 #include "helpers.hh"
 
+#include <gtest/gtest.h>
+
+#include <sstream>
 #include <vector>
+
+#include "obs/divergence.hh"
+#include "sim/shard.hh"
 
 namespace last::test
 {
@@ -123,6 +129,41 @@ randomKernel(uint64_t seed)
     result = kb.add(result, kb.cvt(DataType::F32, pickU()));
     kb.stGlobal(result, kb.add(out, off));
     return kb.build();
+}
+
+void
+expectSameResult(const sim::AppResult &a, const sim::AppResult &b)
+{
+    EXPECT_EQ(a.workload, b.workload);
+    EXPECT_EQ(a.isa, b.isa);
+    EXPECT_EQ(a.quarantined, b.quarantined);
+    EXPECT_EQ(a.errorKind, b.errorKind);
+    EXPECT_EQ(a.errorMessage, b.errorMessage);
+    for (const sim::StatField &f : sim::kStatFields)
+        sim::visitStat(
+            f, [&f](auto x, auto y) { EXPECT_EQ(x, y) << f.name; }, a, b);
+    ASSERT_EQ(a.launches.size(), b.launches.size());
+    for (size_t i = 0; i < a.launches.size(); ++i) {
+        EXPECT_EQ(a.launches[i].kernel, b.launches[i].kernel);
+        EXPECT_EQ(a.launches[i].cycles, b.launches[i].cycles);
+        EXPECT_EQ(a.launches[i].instsIssued, b.launches[i].instsIssued);
+    }
+}
+
+std::string
+cacheBytes(const sim::BenchCacheFile &cache)
+{
+    std::ostringstream os;
+    sim::writeBenchCache(os, cache);
+    return os.str();
+}
+
+std::string
+divergenceBytes(const sim::BenchCacheFile &cache)
+{
+    std::ostringstream os;
+    obs::writeDivergenceJsonArray(os, sim::divergenceFromCache(cache));
+    return os.str();
 }
 
 } // namespace last::test

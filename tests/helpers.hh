@@ -2,8 +2,9 @@
  * @file
  * Shared test utilities: a bare functional executor that runs a kernel
  * on a single wavefront without the timing model (for ISA semantics
- * tests), and a random IL kernel generator (for differential property
- * tests).
+ * tests), a random IL kernel generator (for differential property
+ * tests), the one field-for-field AppResult equality check, and the
+ * byte forms of a bench cache and its divergence report.
  */
 
 #ifndef LAST_TESTS_HELPERS_HH
@@ -17,6 +18,7 @@
 #include "hsail/builder.hh"
 #include "memory/functional_memory.hh"
 #include "memory/lds.hh"
+#include "sim/bench_cache.hh"
 
 namespace last::test
 {
@@ -79,6 +81,21 @@ struct MiniWf
  * kernargs: [0]=in (u64), [8]=out (u64).
  */
 hsail::IlKernel randomKernel(uint64_t seed);
+
+/**
+ * Expect two results to be identical: spec identity, quarantine state,
+ * every sim::kStatFields statistic compared exactly (doubles too), and
+ * every launch record. For runs where only the execution harness
+ * changed (jobs, caches, tracing, engine) — the statistics may not.
+ */
+void expectSameResult(const sim::AppResult &a, const sim::AppResult &b);
+
+/** The bytes sim::writeBenchCache writes for `cache`. */
+std::string cacheBytes(const sim::BenchCacheFile &cache);
+
+/** The `last-divergence-v2` array sim::divergenceFromCache derives
+ *  from `cache`, as obs::writeDivergenceJsonArray writes it. */
+std::string divergenceBytes(const sim::BenchCacheFile &cache);
 
 } // namespace last::test
 

@@ -29,52 +29,6 @@ using namespace last;
 namespace
 {
 
-/** Field-for-field AppResult comparison (all Figure/Table stats);
- *  mirrors the sweep-identity check in test_parallel.cc. */
-void
-expectResultsEqual(const sim::AppResult &a, const sim::AppResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.isa, b.isa);
-    EXPECT_EQ(a.verified, b.verified);
-    EXPECT_EQ(a.digest, b.digest);
-    EXPECT_EQ(a.dynInsts, b.dynInsts);
-    EXPECT_EQ(a.valu, b.valu);
-    EXPECT_EQ(a.salu, b.salu);
-    EXPECT_EQ(a.vmem, b.vmem);
-    EXPECT_EQ(a.smem, b.smem);
-    EXPECT_EQ(a.lds, b.lds);
-    EXPECT_EQ(a.branch, b.branch);
-    EXPECT_EQ(a.waitcnt, b.waitcnt);
-    EXPECT_EQ(a.misc, b.misc);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.vrfBankConflicts, b.vrfBankConflicts);
-    EXPECT_DOUBLE_EQ(a.reuseMedian, b.reuseMedian);
-    EXPECT_EQ(a.instFootprint, b.instFootprint);
-    EXPECT_EQ(a.ibFlushes, b.ibFlushes);
-    EXPECT_DOUBLE_EQ(a.readUniq, b.readUniq);
-    EXPECT_DOUBLE_EQ(a.writeUniq, b.writeUniq);
-    EXPECT_DOUBLE_EQ(a.vrfUniq, b.vrfUniq);
-    EXPECT_EQ(a.dataFootprint, b.dataFootprint);
-    EXPECT_DOUBLE_EQ(a.simdUtil, b.simdUtil);
-    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
-    EXPECT_EQ(a.l1iHits, b.l1iHits);
-    EXPECT_EQ(a.hazardViolations, b.hazardViolations);
-    EXPECT_EQ(a.scoreboardStalls, b.scoreboardStalls);
-    EXPECT_EQ(a.waitcntStalls, b.waitcntStalls);
-    EXPECT_EQ(a.ibEmptyStalls, b.ibEmptyStalls);
-    EXPECT_EQ(a.fuConflictStalls, b.fuConflictStalls);
-    EXPECT_EQ(a.coalescedLines, b.coalescedLines);
-    EXPECT_EQ(a.busyCycles, b.busyCycles);
-    ASSERT_EQ(a.launches.size(), b.launches.size());
-    for (size_t i = 0; i < a.launches.size(); ++i) {
-        EXPECT_EQ(a.launches[i].kernel, b.launches[i].kernel);
-        EXPECT_EQ(a.launches[i].cycles, b.launches[i].cycles);
-        EXPECT_EQ(a.launches[i].instsIssued, b.launches[i].instsIssued);
-    }
-}
-
 /** The engine-differential matrix: Table 5 representatives plus every
  *  stress shape (atomics, LDS swizzles, nested divergence,
  *  multi-dispatch pipelines) at both ISA levels, with `execReference`
@@ -106,7 +60,7 @@ TEST(ExecEngine, MatchesReferenceFieldForField)
     for (size_t i = 0; i < fastRes.size(); ++i) {
         SCOPED_TRACE(fast[i].workload + "/" +
                      std::string(isaName(fast[i].isa)));
-        expectResultsEqual(fastRes[i], refRes[i]);
+        test::expectSameResult(fastRes[i], refRes[i]);
     }
 }
 

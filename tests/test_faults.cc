@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "helpers.hh"
 #include "memory/functional_memory.hh"
 #include "sim/faultinject.hh"
 #include "sim/parallel.hh"
@@ -37,53 +38,6 @@ watchdogConfig(const sim::FaultPlan *plan, uint64_t stall = 2000)
     cfg.watchdogStallCycles = stall;
     cfg.faultPlan = plan;
     return cfg;
-}
-
-/** Field-for-field AppResult comparison (mirrors the parallel-driver
- *  suite): quarantine must not perturb healthy sweep entries. */
-void
-expectResultsEqual(const sim::AppResult &a, const sim::AppResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.isa, b.isa);
-    EXPECT_EQ(a.quarantined, b.quarantined);
-    EXPECT_EQ(a.verified, b.verified);
-    EXPECT_EQ(a.digest, b.digest);
-    EXPECT_EQ(a.dynInsts, b.dynInsts);
-    EXPECT_EQ(a.valu, b.valu);
-    EXPECT_EQ(a.salu, b.salu);
-    EXPECT_EQ(a.vmem, b.vmem);
-    EXPECT_EQ(a.smem, b.smem);
-    EXPECT_EQ(a.lds, b.lds);
-    EXPECT_EQ(a.branch, b.branch);
-    EXPECT_EQ(a.waitcnt, b.waitcnt);
-    EXPECT_EQ(a.misc, b.misc);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.vrfBankConflicts, b.vrfBankConflicts);
-    EXPECT_DOUBLE_EQ(a.reuseMedian, b.reuseMedian);
-    EXPECT_EQ(a.instFootprint, b.instFootprint);
-    EXPECT_EQ(a.ibFlushes, b.ibFlushes);
-    EXPECT_DOUBLE_EQ(a.readUniq, b.readUniq);
-    EXPECT_DOUBLE_EQ(a.writeUniq, b.writeUniq);
-    EXPECT_DOUBLE_EQ(a.vrfUniq, b.vrfUniq);
-    EXPECT_EQ(a.dataFootprint, b.dataFootprint);
-    EXPECT_DOUBLE_EQ(a.simdUtil, b.simdUtil);
-    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
-    EXPECT_EQ(a.l1iHits, b.l1iHits);
-    EXPECT_EQ(a.hazardViolations, b.hazardViolations);
-    EXPECT_EQ(a.scoreboardStalls, b.scoreboardStalls);
-    EXPECT_EQ(a.waitcntStalls, b.waitcntStalls);
-    EXPECT_EQ(a.ibEmptyStalls, b.ibEmptyStalls);
-    EXPECT_EQ(a.fuConflictStalls, b.fuConflictStalls);
-    EXPECT_EQ(a.coalescedLines, b.coalescedLines);
-    EXPECT_EQ(a.busyCycles, b.busyCycles);
-    ASSERT_EQ(a.launches.size(), b.launches.size());
-    for (size_t i = 0; i < a.launches.size(); ++i) {
-        EXPECT_EQ(a.launches[i].kernel, b.launches[i].kernel);
-        EXPECT_EQ(a.launches[i].cycles, b.launches[i].cycles);
-        EXPECT_EQ(a.launches[i].instsIssued, b.launches[i].instsIssued);
-    }
 }
 
 } // namespace
@@ -202,7 +156,9 @@ TEST(FaultSensitivity, DataBitFlipIsAbstractionInvariant)
     // levels agree on the damage: same verification failure, same
     // corrupted digest. Functional results are abstraction-invariant —
     // a data fault cannot tell the two levels apart.
-    auto clean = sim::runBoth("VecAdd", GpuConfig{}, {TestScale});
+    auto clean = sim::runMany({{"VecAdd", IsaKind::HSAIL, {}, {TestScale}},
+                               {"VecAdd", IsaKind::GCN3, {}, {TestScale}}});
+    sim::checkAgreement({&clean[0], &clean[1]});
     bool corrupted_once = false;
     for (Addr addr : {0x10000ull, 0x10040ull, 0x10080ull, 0x100c0ull}) {
         SCOPED_TRACE(addr);
@@ -215,7 +171,7 @@ TEST(FaultSensitivity, DataBitFlipIsAbstractionInvariant)
         EXPECT_EQ(h.digest, g.digest);
         if (!h.verified) {
             corrupted_once = true;
-            EXPECT_NE(h.digest, clean.first.digest);
+            EXPECT_NE(h.digest, clean[0].digest);
         }
     }
     EXPECT_TRUE(corrupted_once)
@@ -293,45 +249,72 @@ TEST(MemoryGuards, WrapAroundIsRejected)
 
 TEST(IsaAgreement, ReportsFirstDivergingField)
 {
-    sim::AppResult h, g;
-    h.workload = g.workload = "Fake";
-    h.verified = g.verified = true;
-    h.digest = g.digest = 0xabcd;
+    sim::AppResult h, g, p;
+    h.workload = g.workload = p.workload = "Fake";
+    h.isa = IsaKind::HSAIL;
+    g.isa = IsaKind::GCN3;
+    p.isa = IsaKind::PTXL;
+    h.verified = g.verified = p.verified = true;
+    h.digest = g.digest = p.digest = 0xabcd;
     h.launches.push_back({"k0", 10, 100});
     g.launches.push_back({"k0", 12, 90}); // timing may differ freely
-    EXPECT_NO_THROW(sim::checkIsaAgreement(h, g));
+    p.launches.push_back({"k0", 14, 80});
+    EXPECT_NO_THROW(sim::checkAgreement({&h, &g, &p}));
 
+    auto mismatchOf = [](std::vector<const sim::AppResult *> levels) {
+        try {
+            sim::checkAgreement(levels);
+        } catch (const sim::IsaMismatchError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Mismatch);
+            EXPECT_EQ(e.message(), e.report().format());
+            return e.report();
+        }
+        ADD_FAILURE() << "expected IsaMismatchError";
+        return sim::MismatchReport{};
+    };
+
+    // HSAIL/GCN3: failed divergence reports embed this exact text.
     g.digest = 0xdead;
-    try {
-        sim::checkIsaAgreement(h, g);
-        FAIL() << "expected IsaMismatchError";
-    } catch (const sim::IsaMismatchError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::Mismatch);
-        EXPECT_EQ(e.report().field, "digest");
-        EXPECT_EQ(e.report().launchIndex, -1);
-        EXPECT_NE(std::string(e.what()).find("digest"),
-                  std::string::npos);
-    }
+    sim::MismatchReport r = mismatchOf({&h, &g});
+    EXPECT_EQ(r.field, "digest");
+    EXPECT_EQ(r.launchIndex, -1);
+    EXPECT_EQ(r.format(), "cross-ISA mismatch in Fake: digest diverges: "
+                          "HSAIL=43981 GCN3=57005");
 
+    // HSAIL/PTXL: the message names the level that disagreed.
     g.digest = h.digest;
+    p.digest = 0xdead;
+    r = mismatchOf({&h, &p});
+    EXPECT_EQ(r.b.isa, IsaKind::PTXL);
+    EXPECT_EQ(r.format(), "cross-ISA mismatch in Fake: digest diverges: "
+                          "HSAIL=43981 PTXL=57005");
+
+    // Three levels, the third disagreeing: checked against the first.
+    r = mismatchOf({&h, &g, &p});
+    EXPECT_EQ(r.a.isa, IsaKind::HSAIL);
+    EXPECT_EQ(r.a.value, "43981");
+    EXPECT_EQ(r.b.isa, IsaKind::PTXL);
+    EXPECT_EQ(r.b.value, "57005");
+    EXPECT_NE(r.format().find("PTXL=57005"), std::string::npos);
+
+    p.digest = h.digest;
     g.launches[0].kernel = "k1";
-    try {
-        sim::checkIsaAgreement(h, g);
-        FAIL() << "expected IsaMismatchError";
-    } catch (const sim::IsaMismatchError &e) {
-        EXPECT_EQ(e.report().field, "launch.kernel");
-        EXPECT_EQ(e.report().launchIndex, 0);
-        EXPECT_EQ(e.report().hsailValue, "k0");
-        EXPECT_EQ(e.report().gcn3Value, "k1");
-    }
+    r = mismatchOf({&h, &g, &p});
+    EXPECT_EQ(r.field, "launch.kernel");
+    EXPECT_EQ(r.launchIndex, 0);
+    EXPECT_EQ(r.a.value, "k0");
+    EXPECT_EQ(r.b.isa, IsaKind::GCN3);
+    EXPECT_EQ(r.b.value, "k1");
 }
 
-TEST(IsaAgreement, RunBothChecksTheInvariant)
+TEST(IsaAgreement, SimulatedLevelsAgree)
 {
-    // The healthy path: both levels agree, so runBoth returns normally
-    // with equal digests (the check threw otherwise).
-    auto [h, g] = sim::runBoth("VecAdd", GpuConfig{}, {TestScale});
-    EXPECT_EQ(h.digest, g.digest);
+    // The healthy path: both levels agree, so the check passes with
+    // equal digests (it threw otherwise).
+    auto rs = sim::runMany({{"VecAdd", IsaKind::HSAIL, {}, {TestScale}},
+                            {"VecAdd", IsaKind::GCN3, {}, {TestScale}}});
+    EXPECT_NO_THROW(sim::checkAgreement({&rs[0], &rs[1]}));
+    EXPECT_EQ(rs[0].digest, rs[1].digest);
 }
 
 TEST(SweepQuarantine, CollectReturnsPerTaskErrors)
@@ -425,6 +408,6 @@ TEST(SweepQuarantine, TwelveSpecSweepSurvivesOneWedgedWavefront)
                      std::string(isaName(specs[i].isa)));
         const sim::RunSpec &s = specs[i];
         auto serial = sim::runApp(s.workload, s.isa, s.cfg, s.scale);
-        expectResultsEqual(report.results[i], serial);
+        test::expectSameResult(report.results[i], serial);
     }
 }

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "helpers.hh"
 #include "obs/divergence.hh"
 #include "obs/json.hh"
 #include "obs/stats_export.hh"
@@ -31,6 +32,17 @@ namespace
 /** Shrunk problem sizes keep the differential runs fast (same factor
  *  the fault suite uses). */
 constexpr double TestScale = 0.25;
+
+/** VecAdd's two-level report: the HSAIL/GCN3 comparison the paper
+ *  studied, simulated at just those two levels. */
+obs::DivergenceReport
+hsailGcn3Report()
+{
+    auto rs = sim::runMany({{"VecAdd", IsaKind::HSAIL, {}, {TestScale}},
+                            {"VecAdd", IsaKind::GCN3, {}, {TestScale}}});
+    return obs::divergenceReport({&rs[0], &rs[1]},
+                                 {IsaKind::HSAIL, IsaKind::GCN3});
+}
 
 /**
  * A strict recursive-descent JSON parser (validation only). If this
@@ -203,52 +215,6 @@ numberAfter(const std::string &json, const std::string &anchor,
     return std::strtod(json.c_str() + k + key.size() + 3, nullptr);
 }
 
-/** Field-by-field AppResult equality (tracing must not perturb any of
- *  this — the same contract the artifact-cache identity test uses). */
-void
-expectIdentical(const sim::AppResult &a, const sim::AppResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.isa, b.isa);
-    EXPECT_EQ(a.verified, b.verified);
-    EXPECT_EQ(a.digest, b.digest);
-    EXPECT_EQ(a.dynInsts, b.dynInsts);
-    EXPECT_EQ(a.valu, b.valu);
-    EXPECT_EQ(a.salu, b.salu);
-    EXPECT_EQ(a.vmem, b.vmem);
-    EXPECT_EQ(a.smem, b.smem);
-    EXPECT_EQ(a.lds, b.lds);
-    EXPECT_EQ(a.branch, b.branch);
-    EXPECT_EQ(a.waitcnt, b.waitcnt);
-    EXPECT_EQ(a.misc, b.misc);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.vrfBankConflicts, b.vrfBankConflicts);
-    EXPECT_DOUBLE_EQ(a.reuseMedian, b.reuseMedian);
-    EXPECT_EQ(a.instFootprint, b.instFootprint);
-    EXPECT_EQ(a.ibFlushes, b.ibFlushes);
-    EXPECT_DOUBLE_EQ(a.readUniq, b.readUniq);
-    EXPECT_DOUBLE_EQ(a.writeUniq, b.writeUniq);
-    EXPECT_DOUBLE_EQ(a.vrfUniq, b.vrfUniq);
-    EXPECT_EQ(a.dataFootprint, b.dataFootprint);
-    EXPECT_DOUBLE_EQ(a.simdUtil, b.simdUtil);
-    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
-    EXPECT_EQ(a.l1iHits, b.l1iHits);
-    EXPECT_EQ(a.hazardViolations, b.hazardViolations);
-    EXPECT_EQ(a.scoreboardStalls, b.scoreboardStalls);
-    EXPECT_EQ(a.waitcntStalls, b.waitcntStalls);
-    EXPECT_EQ(a.ibEmptyStalls, b.ibEmptyStalls);
-    EXPECT_EQ(a.fuConflictStalls, b.fuConflictStalls);
-    EXPECT_EQ(a.coalescedLines, b.coalescedLines);
-    EXPECT_EQ(a.busyCycles, b.busyCycles);
-    ASSERT_EQ(a.launches.size(), b.launches.size());
-    for (size_t i = 0; i < a.launches.size(); ++i) {
-        EXPECT_EQ(a.launches[i].kernel, b.launches[i].kernel);
-        EXPECT_EQ(a.launches[i].cycles, b.launches[i].cycles);
-        EXPECT_EQ(a.launches[i].instsIssued, b.launches[i].instsIssued);
-    }
-}
-
 } // namespace
 
 TEST(ObsJson, EscapeAndNumberFormats)
@@ -369,7 +335,7 @@ TEST(ObsTrace, TracingOnOffIsStatisticIdentical)
         sim::AppResult traced =
             sim::runApp("VecAdd", isa, cfg, {TestScale});
         EXPECT_GT(sink.totalEvents(), 0u);
-        expectIdentical(plain, traced);
+        test::expectSameResult(plain, traced);
     }
 }
 
@@ -447,9 +413,8 @@ TEST(ObsDivergence, RelDeltaRules)
 
 TEST(ObsDivergence, FlagsKnownDivergentAndAccurateStats)
 {
-    auto [hsail, gcn3] = sim::runBoth("VecAdd", GpuConfig{}, {TestScale});
-    obs::DivergenceReport r = obs::divergenceReport(hsail, gcn3);
-    ASSERT_FALSE(r.failed);
+    obs::DivergenceReport r = hsailGcn3Report();
+    ASSERT_FALSE(r.failed) << r.error;
     ASSERT_FALSE(r.entries.empty());
 
     // The paper's headline divergent statistic: the GCN3 dynamic
@@ -457,26 +422,30 @@ TEST(ObsDivergence, FlagsKnownDivergentAndAccurateStats)
     // never sees (Figure 5).
     const obs::DivergenceEntry *dyn = r.find("dynInsts");
     ASSERT_NE(dyn, nullptr);
-    EXPECT_TRUE(dyn->divergent)
-        << "hsail=" << dyn->hsail << " gcn3=" << dyn->gcn3;
-    EXPECT_GT(dyn->gcn3, dyn->hsail);
-    EXPECT_EQ(dyn->paperExpectation, "divergent");
+    const obs::DivergencePair *d =
+        dyn->findPair(IsaKind::HSAIL, IsaKind::GCN3);
+    ASSERT_NE(d, nullptr);
+    EXPECT_TRUE(d->divergent) << "hsail=" << d->va << " gcn3=" << d->vb;
+    EXPECT_GT(d->vb, d->va);
+    EXPECT_EQ(d->paperExpectation, "divergent");
 
     // The paper's headline accurate statistic: SIMD utilization is a
     // property of the algorithm's control flow, not the encoding
     // (Table 6).
     const obs::DivergenceEntry *simd = r.find("simdUtil");
     ASSERT_NE(simd, nullptr);
-    EXPECT_FALSE(simd->divergent)
-        << "hsail=" << simd->hsail << " gcn3=" << simd->gcn3;
-    EXPECT_EQ(simd->paperExpectation, "similar");
+    const obs::DivergencePair *u =
+        simd->findPair(IsaKind::HSAIL, IsaKind::GCN3);
+    ASSERT_NE(u, nullptr);
+    EXPECT_FALSE(u->divergent) << "hsail=" << u->va << " gcn3=" << u->vb;
+    EXPECT_EQ(u->paperExpectation, "similar");
 
     // Ranking: descending relDelta, so dynInsts outranks simdUtil.
     size_t dynPos = size_t(dyn - r.entries.data());
     size_t simdPos = size_t(simd - r.entries.data());
     EXPECT_LT(dynPos, simdPos);
     for (size_t i = 1; i < r.entries.size(); ++i)
-        EXPECT_GE(r.entries[i - 1].relDelta, r.entries[i].relDelta);
+        EXPECT_GE(r.entries[i - 1].maxRelDelta, r.entries[i].maxRelDelta);
 
     // Serialized forms are well-formed.
     std::ostringstream js, txt;
@@ -489,19 +458,37 @@ TEST(ObsDivergence, FlagsKnownDivergentAndAccurateStats)
 
 TEST(ObsDivergence, SweepDriverBatchesWorkloads)
 {
-    // Two workloads through the runSweep-backed batch path.
-    auto reports = obs::divergenceReports({"VecAdd", "ArrayBW"},
-                                          GpuConfig{}, {TestScale});
-    ASSERT_EQ(reports.size(), 2u);
+    // The runShard + divergenceFromCache batch path answers one report
+    // per argument, in argument order (canonical cache order would put
+    // ArrayBW first), a repeated workload included; an unknown name
+    // fails only its own report.
+    auto reports = obs::divergenceReports(
+        {"VecAdd", "ArrayBW", "VecAdd", "NoSuchWorkload"}, {TestScale});
+    ASSERT_EQ(reports.size(), 4u);
     EXPECT_EQ(reports[0].workload, "VecAdd");
     EXPECT_EQ(reports[1].workload, "ArrayBW");
-    for (const auto &r : reports) {
+    EXPECT_EQ(reports[2].workload, "VecAdd");
+    EXPECT_EQ(reports[3].workload, "NoSuchWorkload");
+    for (size_t i = 0; i < 3; ++i) {
+        const obs::DivergenceReport &r = reports[i];
         EXPECT_FALSE(r.failed) << r.error;
         EXPECT_FALSE(r.entries.empty());
         const obs::DivergenceEntry *dyn = r.find("dynInsts");
         ASSERT_NE(dyn, nullptr);
-        EXPECT_TRUE(dyn->divergent);
+        const obs::DivergencePair *d =
+            dyn->findPair(IsaKind::HSAIL, IsaKind::GCN3);
+        ASSERT_NE(d, nullptr);
+        EXPECT_TRUE(d->divergent);
     }
+    std::ostringstream first, repeat;
+    obs::writeDivergenceJson(first, reports[0]);
+    obs::writeDivergenceJson(repeat, reports[2]);
+    EXPECT_EQ(first.str(), repeat.str());
+
+    const obs::DivergenceReport &unknown = reports[3];
+    EXPECT_TRUE(unknown.failed);
+    EXPECT_TRUE(unknown.entries.empty());
+    EXPECT_EQ(unknown.error, "fatal: unknown workload 'NoSuchWorkload'");
 }
 
 TEST(ObsDivergence, QuarantinedRunFailsOnlyItsReport)
@@ -514,7 +501,8 @@ TEST(ObsDivergence, QuarantinedRunFailsOnlyItsReport)
     bad.quarantined = true;
     bad.errorKind = "deadlock";
     bad.errorMessage = "watchdog";
-    obs::DivergenceReport r = obs::divergenceReport(ok, bad);
+    obs::DivergenceReport r = obs::divergenceReport(
+        {&ok, &bad}, {IsaKind::HSAIL, IsaKind::GCN3});
     EXPECT_TRUE(r.failed);
     EXPECT_TRUE(r.entries.empty());
     EXPECT_NE(r.error.find("deadlock"), std::string::npos);
@@ -553,11 +541,6 @@ expectReportsEqual(const obs::DivergenceReport &a,
         for (size_t k = 0; k < x.values.size(); ++k)
             EXPECT_EQ(x.values[k], y.values[k]);
         EXPECT_EQ(x.maxRelDelta, y.maxRelDelta);
-        EXPECT_EQ(x.hsail, y.hsail);
-        EXPECT_EQ(x.gcn3, y.gcn3);
-        EXPECT_EQ(x.relDelta, y.relDelta);
-        EXPECT_EQ(x.divergent, y.divergent);
-        EXPECT_EQ(x.paperExpectation, y.paperExpectation);
         ASSERT_EQ(x.pairs.size(), y.pairs.size());
         for (size_t k = 0; k < x.pairs.size(); ++k) {
             const obs::DivergencePair &p = x.pairs[k];
@@ -580,7 +563,7 @@ const obs::DivergenceReport &
 nxnReport()
 {
     static const obs::DivergenceReport r =
-        obs::divergenceReport("VecAdd", GpuConfig{}, {TestScale});
+        obs::divergenceReports({"VecAdd"}, {TestScale})[0];
     return r;
 }
 
@@ -631,11 +614,11 @@ TEST(DivergenceSchemaV2, ArrayFormRoundTripsIncludingFailedReports)
 
 TEST(DivergenceSchemaV2, TwoIsaReportKeepsV1LegacyView)
 {
-    // The 2-ary (HSAIL, GCN3) overload must round-trip as a two-level
-    // report whose legacy members and single pair agree exactly.
-    auto [hsail, gcn3] = sim::runBoth("VecAdd", GpuConfig{}, {TestScale});
-    obs::DivergenceReport r = obs::divergenceReport(hsail, gcn3);
-    ASSERT_FALSE(r.failed);
+    // A two-level (HSAIL, GCN3) report must round-trip as a two-level
+    // report whose values and single pair agree exactly, its one pair
+    // carrying the ranking key as v1's flat fields did.
+    obs::DivergenceReport r = hsailGcn3Report();
+    ASSERT_FALSE(r.failed) << r.error;
     std::vector<IsaKind> want = {IsaKind::HSAIL, IsaKind::GCN3};
     EXPECT_EQ(r.isas, want);
     obs::DivergenceReport back =
@@ -643,9 +626,10 @@ TEST(DivergenceSchemaV2, TwoIsaReportKeepsV1LegacyView)
     expectReportsEqual(r, back);
     for (const obs::DivergenceEntry &e : back.entries) {
         ASSERT_EQ(e.pairs.size(), 1u) << e.stat;
-        EXPECT_EQ(e.maxRelDelta, e.relDelta) << e.stat;
-        EXPECT_EQ(e.pairs[0].va, e.hsail) << e.stat;
-        EXPECT_EQ(e.pairs[0].vb, e.gcn3) << e.stat;
+        ASSERT_EQ(e.values.size(), 2u) << e.stat;
+        EXPECT_EQ(e.maxRelDelta, e.pairs[0].relDelta) << e.stat;
+        EXPECT_EQ(e.pairs[0].va, e.values[0]) << e.stat;
+        EXPECT_EQ(e.pairs[0].vb, e.values[1]) << e.stat;
     }
 }
 
@@ -675,21 +659,22 @@ TEST(DivergenceSchemaV2, V1PayloadReadsAsTwoLevelReport)
     ASSERT_EQ(r.entries.size(), 2u);
     const obs::DivergenceEntry &salu = r.entries[0];
     EXPECT_EQ(salu.stat, "salu");
-    EXPECT_EQ(salu.hsail, 0);
-    EXPECT_EQ(salu.gcn3, 112);
-    EXPECT_EQ(salu.relDelta, 1);
-    EXPECT_TRUE(salu.divergent);
-    EXPECT_EQ(salu.maxRelDelta, salu.relDelta);
     ASSERT_EQ(salu.values.size(), 2u);
+    EXPECT_EQ(salu.values[0], 0);
+    EXPECT_EQ(salu.values[1], 112);
     ASSERT_EQ(salu.pairs.size(), 1u);
     const obs::DivergencePair *p =
         salu.findPair(IsaKind::HSAIL, IsaKind::GCN3);
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(p->va, 0);
     EXPECT_EQ(p->vb, 112);
+    EXPECT_EQ(p->relDelta, 1);
+    EXPECT_TRUE(p->divergent);
+    EXPECT_EQ(salu.maxRelDelta, p->relDelta);
     EXPECT_EQ(p->direction(), "<");
     EXPECT_EQ(p->paperExpectation, "divergent");
-    EXPECT_FALSE(r.entries[1].divergent);
+    ASSERT_EQ(r.entries[1].pairs.size(), 1u);
+    EXPECT_FALSE(r.entries[1].pairs[0].divergent);
     // Re-serializing upgrades the payload to v2 in place.
     std::string upgraded = serialized(r);
     EXPECT_NE(upgraded.find("\"schema\":\"last-divergence-v2\""),

@@ -33,6 +33,7 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "helpers.hh"
 #include "sim/bench_cache.hh"
 #include "sim/orchestrate.hh"
 #include "sim/shard.hh"
@@ -78,14 +79,6 @@ writeScript(const std::string &path, const std::string &body)
 {
     writeFile(path, "#!/bin/sh\n" + body);
     ::chmod(path.c_str(), 0755);
-}
-
-std::string
-cacheBytes(const sim::BenchCacheFile &c)
-{
-    std::ostringstream os;
-    sim::writeBenchCache(os, c);
-    return os.str();
 }
 
 /** A synthetic matrix of fake workloads: campaigns against /bin/sh
@@ -147,10 +140,10 @@ struct Campaign
             auto g = goldenPart(m);
             writeFile(dir.path + "/golden_" +
                           std::to_string(m.shardIndex) + ".csv",
-                      cacheBytes(g));
+                      test::cacheBytes(g));
             parts.push_back(std::move(g));
         }
-        expectedMerged = cacheBytes(sim::mergeBenchCaches(parts));
+        expectedMerged = test::cacheBytes(sim::mergeBenchCaches(parts));
         ::setenv("LAST_ORCH_DIR", dir.path.c_str(), 1);
 
         opts.shards = shards;
@@ -333,7 +326,7 @@ TEST(Orchestrate, VerifyShardCacheTrustsOnlyCompleteArtifacts)
     TempDir d;
     auto specs = fakeMatrix();
     auto ms = sim::makeShardManifests(specs, 2);
-    const std::string full = cacheBytes(goldenPart(ms[0]));
+    const std::string full = test::cacheBytes(goldenPart(ms[0]));
     const std::string p = d.path + "/part_0.csv";
     writeFile(p, full);
 
@@ -371,7 +364,7 @@ TEST(OrchestrateCampaign, HappyPathMergesByteIdentical)
         EXPECT_EQ(so.attempts, 1u);
     }
     EXPECT_EQ(readFile(c.opts.outPath), c.expectedMerged);
-    EXPECT_EQ(cacheBytes(out.merged), c.expectedMerged);
+    EXPECT_EQ(test::cacheBytes(out.merged), c.expectedMerged);
 
     // The journal narrates the campaign: header first, merged last.
     const std::string jp = c.dir.path + "/journal.jsonl";

@@ -97,9 +97,8 @@ std::string
 offlineDivergenceBytes(const std::string &workload, double scale)
 {
     workloads::WorkloadScale ws{scale};
-    auto reports =
-        obs::divergenceReports({workload}, GpuConfig{}, ws,
-                               obs::DefaultDivergenceThreshold, 1);
+    auto reports = obs::divergenceReports(
+        {workload}, ws, obs::DefaultDivergenceThreshold, 1);
     std::ostringstream os;
     obs::writeDivergenceJsonArray(os, reports);
     return os.str();

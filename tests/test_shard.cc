@@ -20,7 +20,7 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "obs/divergence.hh"
+#include "helpers.hh"
 #include "sim/bench_cache.hh"
 #include "sim/shard.hh"
 
@@ -38,23 +38,6 @@ smallMatrix()
         for (IsaKind isa : AllIsas)
             specs.push_back({w, isa, GpuConfig{}, scale});
     return specs;
-}
-
-std::string
-cacheBytes(const sim::BenchCacheFile &c)
-{
-    std::ostringstream os;
-    sim::writeBenchCache(os, c);
-    return os.str();
-}
-
-std::string
-divergenceBytes(const sim::BenchCacheFile &c)
-{
-    auto reports = sim::divergenceFromCache(c);
-    std::ostringstream os;
-    obs::writeDivergenceJsonArray(os, reports);
-    return os.str();
 }
 
 std::string
@@ -167,7 +150,7 @@ TEST(BenchCache, RowRoundTripIsExact)
     auto outcome = sim::runShard(shards[0]);
     ASSERT_EQ(outcome.quarantined, 0u);
 
-    std::string bytes = cacheBytes(outcome.cache);
+    std::string bytes = test::cacheBytes(outcome.cache);
     std::istringstream is(bytes);
     sim::BenchCacheFile back;
     ASSERT_TRUE(sim::readBenchCache(is, back, "test"));
@@ -176,19 +159,11 @@ TEST(BenchCache, RowRoundTripIsExact)
 
     // Writing the parse reproduces the bytes, and the doubles made the
     // trip exactly (round-trip precision, not the old 6 digits).
-    EXPECT_EQ(cacheBytes(back), bytes);
+    EXPECT_EQ(test::cacheBytes(back), bytes);
     for (const auto &row : outcome.cache.rows) {
         const sim::CachedRun *b = back.find(row.key);
         ASSERT_NE(b, nullptr);
-        EXPECT_EQ(b->result.digest, row.result.digest);
-        EXPECT_EQ(b->result.dynInsts, row.result.dynInsts);
-        EXPECT_EQ(b->result.cycles, row.result.cycles);
-        EXPECT_DOUBLE_EQ(b->result.ipc, row.result.ipc);
-        EXPECT_DOUBLE_EQ(b->result.reuseMedian, row.result.reuseMedian);
-        EXPECT_DOUBLE_EQ(b->result.simdUtil, row.result.simdUtil);
-        EXPECT_EQ(b->result.coalescedLines, row.result.coalescedLines);
-        EXPECT_EQ(b->result.busyCycles, row.result.busyCycles);
-        ASSERT_EQ(b->result.launches.size(), row.result.launches.size());
+        test::expectSameResult(b->result, row.result);
     }
 }
 
@@ -234,7 +209,7 @@ TEST(BenchCache, BackendIdentityKeepsMachineIsaRowsDistinct)
         fwd.rows.push_back(rowFor(isa));
     for (unsigned k = NumIsas; k-- > 0;)
         rev.rows.push_back(rowFor(AllIsas[k]));
-    EXPECT_EQ(cacheBytes(fwd), cacheBytes(rev));
+    EXPECT_EQ(test::cacheBytes(fwd), test::cacheBytes(rev));
 
     sim::BenchCacheFile merged = sim::mergeBenchCaches({fwd, rev});
     ASSERT_EQ(merged.rows.size(), size_t(NumIsas));
@@ -254,8 +229,8 @@ TEST(ShardSweep, MergeIsOrderIndependentOverlapTolerantIdempotent)
 
     // Ground truth: one process covering the whole matrix.
     auto single = sim::runShard(sim::makeShardManifests(specs, 1)[0]);
-    const std::string want = cacheBytes(single.cache);
-    const std::string wantDiv = divergenceBytes(single.cache);
+    const std::string want = test::cacheBytes(single.cache);
+    const std::string wantDiv = test::divergenceBytes(single.cache);
 
     // Three shard processes (simulated in-process).
     auto manifests = sim::makeShardManifests(specs, 3);
@@ -266,22 +241,22 @@ TEST(ShardSweep, MergeIsOrderIndependentOverlapTolerantIdempotent)
     // Any merge order...
     sim::BenchCacheFile merged =
         sim::mergeBenchCaches({parts[0], parts[1], parts[2]});
-    EXPECT_EQ(cacheBytes(merged), want);
-    EXPECT_EQ(cacheBytes(sim::mergeBenchCaches(
+    EXPECT_EQ(test::cacheBytes(merged), want);
+    EXPECT_EQ(test::cacheBytes(sim::mergeBenchCaches(
                   {parts[2], parts[0], parts[1]})),
               want);
     // ... overlapping shards (shard 1 delivered twice, plus the full
     // single-process cache on top) ...
-    EXPECT_EQ(cacheBytes(sim::mergeBenchCaches(
+    EXPECT_EQ(test::cacheBytes(sim::mergeBenchCaches(
                   {parts[1], single.cache, parts[0], parts[1],
                    parts[2]})),
               want);
     // ... and re-merging a merged cache are all byte-identical.
-    EXPECT_EQ(cacheBytes(sim::mergeBenchCaches({merged, merged})), want);
+    EXPECT_EQ(test::cacheBytes(sim::mergeBenchCaches({merged, merged})), want);
 
     // The reconstructed divergence report matches the single-process
     // one byte for byte too.
-    EXPECT_EQ(divergenceBytes(merged), wantDiv);
+    EXPECT_EQ(test::divergenceBytes(merged), wantDiv);
 }
 
 TEST(ShardSweep, IncrementalReuseSkipsEverythingAndChangesNoBytes)
@@ -297,7 +272,7 @@ TEST(ShardSweep, IncrementalReuseSkipsEverythingAndChangesNoBytes)
     auto warm = sim::runShard(manifest, opts);
     EXPECT_EQ(warm.simulated, 0u);
     EXPECT_EQ(warm.reused, specs.size());
-    EXPECT_EQ(cacheBytes(warm.cache), cacheBytes(fresh.cache));
+    EXPECT_EQ(test::cacheBytes(warm.cache), test::cacheBytes(fresh.cache));
 
     // A different seed is a different key: nothing may be served from
     // the seed-0 cache.
@@ -330,7 +305,7 @@ TEST(ShardSweep, QuarantineRowsSurviveAndDegradeReports)
     EXPECT_EQ(outcome.quarantined, NumIsas);
     EXPECT_EQ(outcome.sweep.quarantined.size(), NumIsas);
 
-    std::string bytes = cacheBytes(outcome.cache);
+    std::string bytes = test::cacheBytes(outcome.cache);
     std::istringstream is(bytes);
     sim::BenchCacheFile back;
     ASSERT_TRUE(sim::readBenchCache(is, back, "test"));
@@ -344,7 +319,7 @@ TEST(ShardSweep, QuarantineRowsSurviveAndDegradeReports)
         EXPECT_FALSE(row.result.errorMessage.empty());
     }
     EXPECT_EQ(quarantined, NumIsas);
-    EXPECT_EQ(cacheBytes(back), bytes);
+    EXPECT_EQ(test::cacheBytes(back), bytes);
 
     auto reports = sim::divergenceFromCache(back);
     ASSERT_EQ(reports.size(), 2u); // VecAdd + NoSuchWorkload
@@ -539,7 +514,7 @@ TEST(TornInputFuzz, CacheTruncatedAtEveryByteIsRejected)
     };
     auto outcome = sim::runShard(sim::makeShardManifests(specs, 1)[0]);
     ASSERT_EQ(outcome.quarantined, 0u);
-    const std::string full = cacheBytes(outcome.cache);
+    const std::string full = test::cacheBytes(outcome.cache);
 
     size_t warnings = 0;
     setLogHook([&](const char *level, const std::string &) {
@@ -580,7 +555,7 @@ TEST(TornInputFuzz, CacheTruncatedAtEveryByteIsRejected)
     std::istringstream is(full);
     sim::BenchCacheFile back;
     sim::readBenchCacheStrict(is, back, "full.csv");
-    EXPECT_EQ(cacheBytes(back), full);
+    EXPECT_EQ(test::cacheBytes(back), full);
 }
 
 TEST(TornInputFuzz, CacheStructuralDamageIsRejected)
@@ -631,6 +606,16 @@ TEST(TornInputFuzz, CacheStructuralDamageIsRejected)
          "\n"
          "eof,0\n",
          "blank"},
+        // A bool column holds 0 or 1 only: a 2 would load as true and
+        // be written back as 1, so a parse-then-write would change the
+        // bytes.
+        {"non-0/1 bool",
+         "last-bench-cache v6 scale=1\n"
+         "VecAdd,HSAIL,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+         "0,0,0,0,0,0,0,0\n"
+         "end\n"
+         "eof,1\n",
+         "field 'verified' is not a bool ('2')"},
     };
     for (const Case &c : cases) {
         std::istringstream is(c.text);
@@ -659,7 +644,7 @@ TEST(TornInputFuzz, CacheGarbageMutationsNeverCrash)
         {"VecAdd", IsaKind::GCN3, GpuConfig{}, scale},
     };
     auto outcome = sim::runShard(sim::makeShardManifests(specs, 1)[0]);
-    const std::string full = cacheBytes(outcome.cache);
+    const std::string full = test::cacheBytes(outcome.cache);
 
     setLogHook([](const char *, const std::string &) {});
     Rng rng(7);

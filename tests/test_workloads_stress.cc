@@ -4,7 +4,7 @@
  * (atomicred, ldsswizzle, bfsgraph, pipeline). Per workload x scale x
  * seed they pin down:
  *  - functional cross-ISA agreement at all three abstraction levels
- *    (HSAIL, GCN3, PTXL — runBoth / runApp / checkIsaAgreement);
+ *    (HSAIL, GCN3, PTXL — runMany / runApp / checkAgreement);
  *  - the golden DIRECTION of every divergence metric against the
  *    per-workload expectation table (obs::expectedDivergence) — e.g.
  *    bfsgraph must diverge on IB flushes well past the threshold while
@@ -33,6 +33,7 @@
 #include "finalizer/backend.hh"
 #include "finalizer/finalizer.hh"
 #include "finalizer/regalloc.hh"
+#include "helpers.hh"
 #include "hsail/builder.hh"
 #include "obs/divergence.hh"
 #include "sim/artifact_cache.hh"
@@ -67,34 +68,14 @@ at(double factor, uint64_t seed = 0)
     return s;
 }
 
-/** Field-for-field comparison of the stats both runs must agree on
- *  when only the execution harness (jobs, cache) changed. */
+/** Both runs verified, and only the execution harness (jobs, cache)
+ *  changed, so every field agrees. */
 void
-expectIdenticalResults(const sim::AppResult &a, const sim::AppResult &b)
+expectVerifiedAndSame(const sim::AppResult &a, const sim::AppResult &b)
 {
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.isa, b.isa);
     EXPECT_TRUE(a.verified);
     EXPECT_TRUE(b.verified);
-    EXPECT_EQ(a.digest, b.digest);
-    EXPECT_EQ(a.dynInsts, b.dynInsts);
-    EXPECT_EQ(a.valu, b.valu);
-    EXPECT_EQ(a.salu, b.salu);
-    EXPECT_EQ(a.vmem, b.vmem);
-    EXPECT_EQ(a.lds, b.lds);
-    EXPECT_EQ(a.branch, b.branch);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.vrfBankConflicts, b.vrfBankConflicts);
-    EXPECT_EQ(a.ibFlushes, b.ibFlushes);
-    EXPECT_EQ(a.instFootprint, b.instFootprint);
-    EXPECT_EQ(a.dataFootprint, b.dataFootprint);
-    EXPECT_EQ(a.hazardViolations, b.hazardViolations);
-    ASSERT_EQ(a.launches.size(), b.launches.size());
-    for (size_t i = 0; i < a.launches.size(); ++i) {
-        EXPECT_EQ(a.launches[i].kernel, b.launches[i].kernel);
-        EXPECT_EQ(a.launches[i].cycles, b.launches[i].cycles);
-        EXPECT_EQ(a.launches[i].instsIssued, b.launches[i].instsIssued);
-    }
+    test::expectSameResult(a, b);
 }
 
 } // namespace
@@ -110,23 +91,24 @@ TEST(StressWorkloads, CrossIsaAgreementAcrossScalesAndSeeds)
             for (uint64_t seed : kSeeds) {
                 SCOPED_TRACE(w + " scale " + std::to_string(scale) +
                              " seed " + std::to_string(seed));
-                // runBoth enforces checkIsaAgreement internally and
-                // throws IsaMismatchError (failing the test) if the
-                // two abstraction levels disagree functionally.
-                auto [hsail, gcn3] = sim::runBoth(w, GpuConfig{},
-                                                  at(scale, seed));
+                const auto s = at(scale, seed);
+                auto rs = sim::runMany({{w, IsaKind::HSAIL, {}, s},
+                                        {w, IsaKind::GCN3, {}, s},
+                                        {w, IsaKind::PTXL, {}, s}});
+                const sim::AppResult &hsail = rs[0], &gcn3 = rs[1],
+                                     &ptxl = rs[2];
+                // Throws IsaMismatchError (failing the test) if the
+                // abstraction levels disagree functionally.
+                sim::checkAgreement({&hsail, &gcn3, &ptxl});
                 EXPECT_TRUE(hsail.verified);
                 EXPECT_TRUE(gcn3.verified);
                 EXPECT_EQ(hsail.digest, gcn3.digest);
                 EXPECT_EQ(gcn3.hazardViolations, 0u)
                     << "finalized code read a not-yet-ready register";
-                auto ptxl = sim::runApp(w, IsaKind::PTXL, GpuConfig{},
-                                        at(scale, seed));
                 EXPECT_TRUE(ptxl.verified);
                 EXPECT_EQ(hsail.digest, ptxl.digest);
                 EXPECT_EQ(ptxl.hazardViolations, 0u)
                     << "PTXL scoreboard let a not-ready register by";
-                sim::checkIsaAgreement(hsail, ptxl);
             }
         }
     }
@@ -143,25 +125,22 @@ TEST(StressWorkloads, GoldenDivergenceDirections)
         for (double scale : kScales) {
             SCOPED_TRACE(w + " scale " + std::to_string(scale));
             obs::DivergenceReport r =
-                obs::divergenceReport(w, GpuConfig{}, at(scale));
+                obs::divergenceReports({w}, at(scale))[0];
             ASSERT_FALSE(r.failed) << r.error;
             ASSERT_EQ(r.entries.size(), 17u);
             ASSERT_EQ(r.isas.size(), NumIsas);
             for (unsigned k = 0; k < NumIsas; ++k)
                 EXPECT_EQ(r.isas[k], AllIsas[k]);
             for (const obs::DivergenceEntry &e : r.entries) {
-                // The full pair triangle is present and the legacy
-                // members mirror the HSAIL<->GCN3 cell exactly.
+                // The full pair triangle is present and the
+                // HSAIL<->GCN3 cell carries those levels' values.
                 ASSERT_EQ(e.values.size(), NumIsas) << e.stat;
                 ASSERT_EQ(e.pairs.size(), numPairs) << e.stat;
                 const obs::DivergencePair *hg =
                     e.findPair(IsaKind::HSAIL, IsaKind::GCN3);
                 ASSERT_NE(hg, nullptr) << e.stat;
-                EXPECT_EQ(hg->va, e.hsail);
-                EXPECT_EQ(hg->vb, e.gcn3);
-                EXPECT_EQ(hg->relDelta, e.relDelta);
-                EXPECT_EQ(hg->divergent, e.divergent);
-                EXPECT_EQ(hg->paperExpectation, e.paperExpectation);
+                EXPECT_EQ(hg->va, e.values[0]);
+                EXPECT_EQ(hg->vb, e.values[1]);
                 double worst = 0;
                 for (const obs::DivergencePair &p : e.pairs) {
                     worst = std::max(worst, p.relDelta);
@@ -173,12 +152,12 @@ TEST(StressWorkloads, GoldenDivergenceDirections)
                 EXPECT_EQ(e.maxRelDelta, worst) << e.stat;
 
                 std::string expect = obs::expectedDivergence(w, e.stat);
-                EXPECT_EQ(e.paperExpectation, expect);
+                EXPECT_EQ(hg->paperExpectation, expect);
                 if (expect.empty())
                     continue; // no position (near-threshold)
-                EXPECT_EQ(e.divergent, expect == "divergent")
-                    << e.stat << ": hsail=" << e.hsail
-                    << " gcn3=" << e.gcn3 << " delta=" << e.relDelta;
+                EXPECT_EQ(hg->divergent, expect == "divergent")
+                    << e.stat << ": hsail=" << hg->va
+                    << " gcn3=" << hg->vb << " delta=" << hg->relDelta;
             }
             // Ranking follows the worst pairwise delta.
             for (size_t i = 1; i < r.entries.size(); ++i)
@@ -209,7 +188,7 @@ TEST(StressWorkloads, GoldenNxNDirectionSignatures)
     for (const std::string &w : stressNames()) {
         SCOPED_TRACE(w);
         obs::DivergenceReport r =
-            obs::divergenceReport(w, GpuConfig{}, at(0.25));
+            obs::divergenceReports({w}, at(0.25))[0];
         ASSERT_FALSE(r.failed) << r.error;
 
         // Scalar pipe: a GCN3-only machine feature. HSAIL and PTXL
@@ -288,30 +267,36 @@ TEST(StressWorkloads, BfsGraphIbFlushDivergenceWellPastThreshold)
     // seed, not hover at it.
     for (uint64_t seed : kSeeds) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        auto r = obs::divergenceReport("bfsgraph", GpuConfig{},
-                                       at(0.25, seed));
+        auto r = obs::divergenceReports({"bfsgraph"}, at(0.25, seed))[0];
         ASSERT_FALSE(r.failed) << r.error;
         const obs::DivergenceEntry *e = r.find("ibFlushes");
         ASSERT_NE(e, nullptr);
-        EXPECT_GT(e->relDelta, 2 * r.threshold);
-        EXPECT_GT(e->hsail, e->gcn3)
+        const obs::DivergencePair *hg =
+            e->findPair(IsaKind::HSAIL, IsaKind::GCN3);
+        ASSERT_NE(hg, nullptr);
+        EXPECT_GT(hg->relDelta, 2 * r.threshold);
+        EXPECT_GT(hg->va, hg->vb)
             << "RS pops must inflate HSAIL IB flushes, not deflate";
     }
 }
 
 TEST(StressWorkloads, LdsSwizzleBankConflictsDivergeSimdUtilSimilar)
 {
-    auto r = obs::divergenceReport("ldsswizzle", GpuConfig{}, at(0.5));
+    auto r = obs::divergenceReports({"ldsswizzle"}, at(0.5))[0];
     ASSERT_FALSE(r.failed) << r.error;
-    const obs::DivergenceEntry *bc = r.find("vrfBankConflicts");
-    const obs::DivergenceEntry *util = r.find("simdUtil");
+    auto hsailGcn3 = [&r](const char *stat) -> const obs::DivergencePair * {
+        const obs::DivergenceEntry *e = r.find(stat);
+        return e ? e->findPair(IsaKind::HSAIL, IsaKind::GCN3) : nullptr;
+    };
+    const obs::DivergencePair *bc = hsailGcn3("vrfBankConflicts");
+    const obs::DivergencePair *util = hsailGcn3("simdUtil");
     ASSERT_NE(bc, nullptr);
     ASSERT_NE(util, nullptr);
     EXPECT_GT(bc->relDelta, 2 * r.threshold);
     EXPECT_LE(util->relDelta, r.threshold);
     // The soak is fully converged: every lane live at both levels.
-    EXPECT_DOUBLE_EQ(util->hsail, 1.0);
-    EXPECT_DOUBLE_EQ(util->gcn3, 1.0);
+    EXPECT_DOUBLE_EQ(util->va, 1.0);
+    EXPECT_DOUBLE_EQ(util->vb, 1.0);
 }
 
 TEST(StressWorkloads, ExpectationOverridesLayerOverPaperDefaults)
@@ -348,7 +333,7 @@ TEST(StressWorkloads, DeterministicAcrossJobCounts)
     for (size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(specs[i].workload + "/" +
                      std::string(isaName(specs[i].isa)));
-        expectIdenticalResults(serial[i], parallel[i]);
+        expectVerifiedAndSame(serial[i], parallel[i]);
     }
 }
 
@@ -363,8 +348,8 @@ TEST(StressWorkloads, DeterministicAcrossArtifactCacheSetting)
             sim::ArtifactCache::setEnabled(false);
             auto cold = sim::runApp(w, isa, GpuConfig{}, at(0.25));
             sim::ArtifactCache::setEnabled(true);
-            expectIdenticalResults(warm, hit);
-            expectIdenticalResults(warm, cold);
+            expectVerifiedAndSame(warm, hit);
+            expectVerifiedAndSame(warm, cold);
         }
     }
 }
@@ -384,34 +369,38 @@ TEST(StressWorkloads, LdsSwizzleKnobVariantsDoNotAliasInCache)
     sim::ArtifactCache::setEnabled(true);
     sim::ArtifactCache::instance().clear();
 
-    auto withKnobs = [](int stride, int pad) {
+    // One knob variant at HSAIL and GCN3, which must agree.
+    auto variant = [](int stride, int pad) {
         workloads::WorkloadScale s{0.25};
         s.ldsStrideWords = stride;
         s.ldsPadWords = pad;
-        return s;
+        auto rs = sim::runMany({{"ldsswizzle", IsaKind::HSAIL, {}, s},
+                                {"ldsswizzle", IsaKind::GCN3, {}, s}});
+        sim::checkAgreement({&rs[0], &rs[1]});
+        return rs;
     };
 
-    auto a1 = sim::runBoth("ldsswizzle", GpuConfig{}, withKnobs(8, 0));
-    auto b1 = sim::runBoth("ldsswizzle", GpuConfig{}, withKnobs(9, 1));
+    auto a1 = variant(8, 0);
+    auto b1 = variant(9, 1);
     uint64_t missesAfterBuild = sim::ArtifactCache::instance().misses();
-    auto a2 = sim::runBoth("ldsswizzle", GpuConfig{}, withKnobs(8, 0));
-    auto b2 = sim::runBoth("ldsswizzle", GpuConfig{}, withKnobs(9, 1));
+    auto a2 = variant(8, 0);
+    auto b2 = variant(9, 1);
 
     // Re-running a variant is a pure cache hit ...
     EXPECT_EQ(sim::ArtifactCache::instance().misses(), missesAfterBuild);
-    expectIdenticalResults(a1.first, a2.first);
-    expectIdenticalResults(a1.second, a2.second);
-    expectIdenticalResults(b1.first, b2.first);
-    expectIdenticalResults(b1.second, b2.second);
+    for (size_t k = 0; k < 2; ++k) {
+        expectVerifiedAndSame(a1[k], a2[k]);
+        expectVerifiedAndSame(b1[k], b2[k]);
+    }
 
     // ... the variants exchange the same lane values (the swizzle is
     // layout-invariant), so a silent artifact mixup would NOT show up
     // in the digest — but it would show up in the LDS bank-conflict
     // timing: stride 8 serializes 64 lanes over 4 banks, stride 9+1
     // (10 words, coprime to 32) spreads them almost perfectly.
-    EXPECT_EQ(a1.first.digest, b1.first.digest);
-    EXPECT_GT(a1.first.cycles, b1.first.cycles);
-    EXPECT_GT(a1.second.cycles, b1.second.cycles);
+    EXPECT_EQ(a1[0].digest, b1[0].digest);
+    EXPECT_GT(a1[0].cycles, b1[0].cycles);
+    EXPECT_GT(a1[1].cycles, b1[1].cycles);
 }
 
 TEST(StressWorkloads, BackendVariantsDoNotAliasInArtifactCache)
@@ -440,8 +429,8 @@ TEST(StressWorkloads, BackendVariantsDoNotAliasInArtifactCache)
         sim::runApp("atomicred", IsaKind::PTXL, GpuConfig{}, at(0.25));
     EXPECT_EQ(sim::ArtifactCache::instance().misses(), missesAfterBuild);
     EXPECT_GT(sim::ArtifactCache::instance().hits(), hitsBefore);
-    expectIdenticalResults(g1, g2);
-    expectIdenticalResults(p1, p2);
+    expectVerifiedAndSame(g1, g2);
+    expectVerifiedAndSame(p1, p2);
     EXPECT_EQ(g2.digest, p2.digest);
     EXPECT_GT(g2.salu, 0u);
     EXPECT_EQ(p2.salu, 0u);
@@ -461,7 +450,7 @@ TEST(StressWorkloads, BfsRsDepthHistogramNonDegenerate)
     // would mean the nesting collapsed), and across the run more than
     // one depth must occur. GCN3 has no RS; its side of the property
     // is that exec-masked execution retires the identical lane-visible
-    // state — digest equality via checkIsaAgreement — with zero hazard
+    // state — digest equality via checkAgreement — with zero hazard
     // violations, per seed.
     for (uint64_t seed :
          {uint64_t(0), uint64_t(0xC0FFEE), uint64_t(0x12345678)}) {
@@ -504,7 +493,7 @@ TEST(StressWorkloads, BfsRsDepthHistogramNonDegenerate)
             EXPECT_EQ(machinePushes, 0u)
                 << isaName(isa) << " must never touch an RS";
             EXPECT_EQ(machine.hazardViolations, 0u);
-            sim::checkIsaAgreement(hsail, machine); // throws on mismatch
+            sim::checkAgreement({&hsail, &machine}); // throws on mismatch
         }
     }
 }
@@ -515,9 +504,11 @@ TEST(StressWorkloads, BfsRsDepthHistogramNonDegenerate)
 
 TEST(StressWorkloads, PipelineLaunchRecordsAndOverlap)
 {
-    auto [hsail, gcn3] = sim::runBoth("pipeline", GpuConfig{}, at(0.5));
-    auto ptxl =
-        sim::runApp("pipeline", IsaKind::PTXL, GpuConfig{}, at(0.5));
+    auto rs = sim::runMany({{"pipeline", IsaKind::HSAIL, {}, at(0.5)},
+                            {"pipeline", IsaKind::GCN3, {}, at(0.5)},
+                            {"pipeline", IsaKind::PTXL, {}, at(0.5)}});
+    sim::checkAgreement({&rs[0], &rs[1], &rs[2]});
+    const sim::AppResult &hsail = rs[0], &gcn3 = rs[1], &ptxl = rs[2];
     ASSERT_TRUE(ptxl.verified);
     const std::vector<std::string> want = {
         "pipe_produce", "pipe_produce", "pipe_transform",

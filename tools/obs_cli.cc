@@ -14,9 +14,10 @@
  * stats:   run once and dump the full stats tree (JSON and/or CSV;
  *          JSON to stdout when neither file is given).
  * diverge: run each workload (default: all Table 5 applications plus
- *          the stress workloads) at every ISA level on the parallel
- *          sweep driver and print the ranked N×N cross-ISA divergence
- *          report; optional machine-readable copy with --json. --seed
+ *          the stress workloads) at every ISA level as one shard
+ *          (the `last_sweep run` path) and print the ranked N×N
+ *          cross-ISA divergence report, one per argument in argument
+ *          order; optional machine-readable copy with --json. --seed
  *          varies the input data; --lds-stride/--lds-pad are the
  *          ldsswizzle bank-conflict knobs (ignored elsewhere). Exit
  *          code 0 even when stats diverge (that is the expected
@@ -188,8 +189,7 @@ cmdDiverge(std::vector<std::string> args)
     std::vector<std::string> workloads =
         args.empty() ? workloads::allWorkloadNames() : args;
 
-    auto reports = obs::divergenceReports(workloads, GpuConfig{}, ws,
-                                          threshold, jobs);
+    auto reports = obs::divergenceReports(workloads, ws, threshold, jobs);
 
     bool anyFailed = false;
     for (const auto &r : reports) {
