@@ -34,11 +34,13 @@ cmake --build build -j || exit 1
 # sweep-quarantine, and differential suites with 4 workers forced via
 # LAST_JOBS. The PTXL legs (PtxlExecEngine drives the predecoded
 # engine through the sweep pool; the three-way differentials overlap
-# HSAIL/GCN3/PTXL runs on the same pool) ride here too.
+# HSAIL/GCN3/PTXL runs on the same pool) ride here too, and so does
+# the mode matrix, which runs the whole matrix on the pool once per
+# mode. CI's tsan job runs the same filter.
 if cmake -B build-tsan -S . -DLAST_TSAN=ON &&
     cmake --build build-tsan -j --target last_tests; then
     LAST_JOBS=4 ./build-tsan/tests/last_tests \
-        --gtest_filter='ParallelDriver.*:SweepQuarantine.*:FastForward.*:FunctionalMemoryFootprint.*:ExecEngine.*:ServeSocket.*:PtxlExecEngine.*:RandomKernelDifferential.*:Table5/WorkloadDifferential.*' ||
+        --gtest_filter='ParallelDriver.*:SweepQuarantine.*:FastForward.*:ModeMatrix.*:FunctionalMemoryFootprint.*:ExecEngine.*:ServeSocket.*:PtxlExecEngine.*:RandomKernelDifferential.*:Table5/WorkloadDifferential.*' ||
         fail "TSan suite"
 else
     fail "TSan build"
@@ -49,11 +51,13 @@ fi
 # PTXL legs (warp-split stack, convergence barriers, scoreboard) and
 # the stress-differential job (three-way cross-ISA agreement and the
 # N×N golden signatures), whose lane-mask/stack manipulation is where
-# out-of-bounds bugs would live.
+# out-of-bounds bugs would live — plus the IL lane table and its
+# integer corner cases, where UBSan flags any signed overflow. CI's
+# asan job runs the same filter.
 if cmake -B build-asan -S . -DLAST_ASAN=ON &&
     cmake --build build-asan -j --target last_tests; then
     ./build-asan/tests/last_tests \
-        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*' ||
+        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*:Ops/IlLaneTable.*:IlLaneSemantics.*' ||
         fail "ASan/UBSan suite"
 else
     fail "ASan build"

@@ -12,14 +12,16 @@
  * path needs into this POD record:
  *
  *  - `handler`: a flat function pointer resolved from the opcode, so
- *    dispatch is one indirect call with no switch chain. Each ISA
- *    picks it in its predecode() override (src/hsail/exec.cc,
- *    src/gcn3/exec.cc); handlers for the hot op classes iterate
+ *    dispatch is one indirect call with no switch chain. Every ISA
+ *    picks it in its predecode() (src/hsail/exec.cc, src/gcn3/exec.cc,
+ *    src/ptxl/exec.cc); handlers for the hot op classes iterate
  *    active lanes ctz-style with branchless, autovectorizable lane
  *    kernels. The legacy virtual path stays available behind
  *    GpuConfig::execReference and must produce bit-identical results
- *    (enforced by tests/test_exec_engine.cc).
+ *    (enforced by tests/test_exec_engine.cc and tests/test_ptxl.cc).
  *  - flags/fu/size/latClass: the virtual metadata, pre-flattened.
+ *  - `interlocked`: the level's dependence policy, so the CU's issue
+ *    path never asks which ISA it runs.
  *  - `ops`: the RegOperand list copied into a fixed array (same
  *    order), for the hazard probe / scoreboard / bank-conflict walks.
  *  - vecRd/vecWr: the vector operand registers width-expanded in
@@ -83,7 +85,16 @@ struct ExecMeta
     uint32_t flags = 0;             ///< InstFlags, pre-flattened
     FuType fu = FuType::Special;
     LatClass latClass = LatClass::Special;
-    uint8_t size = 0;               ///< encoded bytes (4..12)
+    uint8_t size = 0;               ///< encoded bytes (4..16)
+
+    /** Dependence policy, set by the ISA's predecode(). An interlocked
+     *  instruction issues only once every register it reads or writes
+     *  is ready: vecRd, vecWr and its scalar-class slots (PTXL
+     *  predicates). HSAIL's scoreboard is the simulator's, PTXL's the
+     *  modelled hardware's. GCN3 code is not interlocked: its
+     *  s_waitcnt and s_nop wait states manage dependences in software,
+     *  and the CU's hazard probe checks that they do. */
+    bool interlocked = false;
 
     /** regOps(), copied in order. */
     uint8_t numOps = 0;

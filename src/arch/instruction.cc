@@ -1,30 +1,7 @@
 #include "arch/instruction.hh"
 
-#include "arch/exec_meta.hh"
-#include "arch/wf_state.hh"
-
 namespace last::arch
 {
-
-namespace
-{
-
-/** Fallback handler: dispatch through the virtual reference engine.
- *  Used for instructions whose ISA predecode() installs nothing
- *  better; correct for every instruction by construction. */
-void
-refExecHandler(const ExecMeta &m, WfState &wf)
-{
-    m.inst->execute(wf);
-}
-
-} // namespace
-
-void
-Instruction::predecode(ExecMeta &m) const
-{
-    m.handler = refExecHandler;
-}
 
 unsigned
 Instruction::latency(const GpuConfig &cfg) const

@@ -3,11 +3,12 @@
  * ISA-neutral instruction interface.
  *
  * The compute-unit timing model is ISA-blind: it executes objects that
- * implement this interface. The HSAIL and GCN3 front ends each provide
- * concrete instruction classes. Everything the CU needs for timing —
- * functional-unit class, encoded size (instruction-footprint and fetch
- * modelling), register operands (bank-conflict, reuse-distance and
- * value-uniqueness probes), and branch/memory/barrier semantics — is
+ * implement this interface. The HSAIL, GCN3 and PTXL front ends each
+ * provide concrete instruction classes. Everything the CU needs for
+ * timing — functional-unit class, encoded size (instruction-footprint
+ * and fetch modelling), register operands (bank-conflict,
+ * reuse-distance and value-uniqueness probes), branch/memory/barrier
+ * semantics, and (through predecode) the dependence policy — is
  * exposed here.
  */
 
@@ -88,9 +89,9 @@ enum InstFlags : uint32_t
 };
 
 /**
- * Abstract instruction. Concrete subclasses live in src/hsail and
- * src/gcn3. Instances are immutable after construction; execute()
- * mutates only the wavefront state passed in.
+ * Abstract instruction. Concrete subclasses live in src/hsail,
+ * src/gcn3 and src/ptxl. Instances are immutable after construction;
+ * execute() mutates only the wavefront state passed in.
  */
 class Instruction
 {
@@ -105,14 +106,14 @@ class Instruction
 
     /**
      * Second half of predecode: pick the direct-threaded handler and
-     * fill ISA-specific ExecMeta fields. The caller
-     * (KernelCode::execMetas) has already flattened the ISA-neutral
-     * metadata (flags/fu/size/latency class/operand arrays) into `m`.
-     * The default implementation installs a handler that falls back to
-     * the virtual execute(); ISAs override to install specialized
-     * active-lane kernels for their hot op classes.
+     * fill the ISA-specific ExecMeta fields (the dependence policy,
+     * predigested constants). The caller (KernelCode::execMetas) has
+     * already flattened the ISA-neutral metadata (flags/fu/size/
+     * latency class/operand arrays) into `m`. Every ISA installs
+     * active-lane kernels for its hot op classes and a non-virtual
+     * call of its reference executor for the rest.
      */
-    virtual void predecode(ExecMeta &m) const;
+    virtual void predecode(ExecMeta &m) const = 0;
 
     /** Assembly-like rendering, used by examples/tests. */
     virtual std::string disassemble() const = 0;
@@ -122,7 +123,7 @@ class Instruction
 
     /** Encoded size in bytes as stored in simulated memory. HSAIL
      *  instructions all report 8 (the paper's 64-bit approximation of
-     *  BRIG); GCN3 reports 4, 8, or 12. */
+     *  BRIG); GCN3 reports 4, 8, or 12; PTXL 16. */
     virtual unsigned sizeBytes() const = 0;
 
     /** Result latency in cycles (beyond issue). */

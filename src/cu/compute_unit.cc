@@ -275,6 +275,37 @@ ComputeUnit::tick()
     issueStage(now);
 }
 
+inline Cycle
+ComputeUnit::operandsReadyAt(const Wavefront &wf,
+                             const arch::ExecMeta &m) const
+{
+    // Software dependence management (GCN3): only an s_waitcnt gates
+    // issue, until its counters drop to the thresholds predigested
+    // into c0/c1.
+    if (m.is(arch::IsWaitcnt))
+        return wf.st.vmCnt > m.c0 || wf.st.lgkmCnt > m.c1 ? InvalidCycle
+                                                          : 0;
+    if (!m.interlocked)
+        return 0;
+    // Interlock (HSAIL's simulator scoreboard, PTXL's hardware one):
+    // every operand, read or written, must be ready — vector registers
+    // and the scalar-class slots alike.
+    Cycle t = 0;
+    for (unsigned i = 0; i < m.numVecRd; ++i)
+        t = std::max(t, wf.vregReady[m.vecRd[i]]);
+    for (unsigned i = 0; i < m.numVecWr; ++i)
+        t = std::max(t, wf.vregReady[m.vecWr[i]]);
+    for (unsigned i = 0; i < m.numOps; ++i) {
+        const auto &op = m.ops[i];
+        if (op.cls != arch::RegClass::Scalar)
+            continue;
+        for (unsigned w = 0; w < op.width; ++w)
+            t = std::max(t, wf.sregReady[std::min<unsigned>(op.idx + w,
+                                                            127)]);
+    }
+    return t;
+}
+
 Cycle
 ComputeUnit::nextProgressCycle(Cycle now) const
 {
@@ -294,34 +325,12 @@ ComputeUnit::nextProgressCycle(Cycle now) const
         if (!wf.runnable() || wf.ibCount == 0)
             continue; // barrier release / fetch fill: event driven
         const arch::ExecMeta &m = wf.metas[wf.pcIdx];
-        Cycle start = std::max(now, wf.blockedUntil);
+        // An unmet s_waitcnt reads "never": an event-queue decrement
+        // unblocks it.
+        Cycle start =
+            std::max({now, wf.blockedUntil, operandsReadyAt(wf, m)});
         if (m.fu != arch::FuType::Special)
             start = std::max(start, fuBusyUntil[fuIndex(wf, m)]);
-        if (wf.st.isa != IsaKind::GCN3) {
-            // Scoreboard (HSAIL simulator / PTXL hardware): the issue
-            // cycle is bounded by the operand ready times (mirrors
-            // depsReady()).
-            for (unsigned i = 0; i < m.numVecRd; ++i)
-                start = std::max(start, wf.vregReady[m.vecRd[i]]);
-            for (unsigned i = 0; i < m.numVecWr; ++i)
-                start = std::max(start, wf.vregReady[m.vecWr[i]]);
-            if (wf.st.isa == IsaKind::PTXL) {
-                // PTXL predicates live in the scalar-class slots.
-                for (unsigned i = 0; i < m.numOps; ++i) {
-                    const auto &op = m.ops[i];
-                    if (op.cls != arch::RegClass::Scalar)
-                        continue;
-                    for (unsigned w = 0; w < op.width; ++w)
-                        start = std::max(
-                            start,
-                            wf.sregReady[std::min<unsigned>(
-                                op.idx + w, 127)]);
-                }
-            }
-        } else if (m.is(arch::IsWaitcnt)) {
-            if (wf.st.vmCnt > m.c0 || wf.st.lgkmCnt > m.c1)
-                continue; // unblocked by an event-queue decrement
-        }
         t = std::min(t, start);
     }
     return t;
@@ -357,10 +366,7 @@ ComputeUnit::chargeSkippedCycles(Cycle now, Cycle k)
         // The remaining cycles can only be dependency stalls: the skip
         // target never goes past a cycle where this wavefront could
         // have issued.
-        if (wf.st.isa != IsaKind::GCN3)
-            scoreboardStalls += double(end - fu_free);
-        else
-            waitcntStalls += double(end - fu_free);
+        depStalls(m) += double(end - fu_free);
     }
 }
 
@@ -524,54 +530,6 @@ ComputeUnit::fuIndex(const Wavefront &wf, const arch::ExecMeta &m) const
     return FuScalar;
 }
 
-bool
-ComputeUnit::depsReady(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
-{
-    arch::WfState &st = wf.st;
-    if (st.isa == IsaKind::HSAIL) {
-        // Simulator scoreboard: every operand (read or write) must be
-        // ready. The real GPU has no such logic.
-        for (unsigned i = 0; i < m.numVecRd; ++i)
-            if (wf.vregReady[m.vecRd[i]] > now)
-                return false;
-        for (unsigned i = 0; i < m.numVecWr; ++i)
-            if (wf.vregReady[m.vecWr[i]] > now)
-                return false;
-        return true;
-    }
-
-    if (st.isa == IsaKind::PTXL) {
-        // Hardware scoreboard: in-order issue stalls until every
-        // operand is ready — general registers and predicates alike.
-        // Unlike HSAIL's, this scoreboard exists in the modeled
-        // machine (fixed-latency producer tracking), not just in the
-        // simulator.
-        for (unsigned i = 0; i < m.numVecRd; ++i)
-            if (wf.vregReady[m.vecRd[i]] > now)
-                return false;
-        for (unsigned i = 0; i < m.numVecWr; ++i)
-            if (wf.vregReady[m.vecWr[i]] > now)
-                return false;
-        for (unsigned i = 0; i < m.numOps; ++i) {
-            const auto &op = m.ops[i];
-            if (op.cls != arch::RegClass::Scalar)
-                continue;
-            for (unsigned w = 0; w < op.width; ++w)
-                if (wf.sregReady[std::min<unsigned>(op.idx + w, 127)] >
-                    now)
-                    return false;
-        }
-        return true;
-    }
-
-    // GCN3: only an s_waitcnt gates issue (thresholds predigested
-    // into c0/c1 so no downcast happens per stalled cycle).
-    if (m.is(arch::IsWaitcnt) &&
-        (st.vmCnt > m.c0 || st.lgkmCnt > m.c1))
-        return false;
-    return true;
-}
-
 void
 ComputeUnit::probeVectorOperands(Wavefront &wf, const arch::ExecMeta &m,
                                  bool defs)
@@ -696,18 +654,15 @@ ComputeUnit::issueStage(Cycle now)
             ++fuConflictStalls;
             continue;
         }
-        if (!depsReady(*wf, m, now)) {
-            if (wf->st.isa != IsaKind::GCN3)
-                ++scoreboardStalls;
-            else
-                ++waitcntStalls;
+        if (operandsReadyAt(*wf, m) > now) {
+            ++depStalls(m);
             // Tracing: remember where this dependency stall began; the
             // whole stall is emitted as one span when the WF issues
             // (works under fast-forward, which always observes at
             // least one stalled tick before jumping).
             if (tracing() && wf->stallSince == InvalidCycle) {
                 wf->stallSince = now;
-                wf->stallKind = wf->st.isa != IsaKind::GCN3 ? 0 : 1;
+                wf->stallKind = m.is(arch::IsWaitcnt) ? 1 : 0;
             }
             continue;
         }
@@ -747,8 +702,9 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
         }
     }
 
-    // --- GCN3 hazard probe ---
-    if (st.isa == IsaKind::GCN3) {
+    // --- hazard probe: nothing interlocked this issue, so software
+    // dependence management must have covered every read ---
+    if (!m.interlocked) {
         for (unsigned i = 0; i < m.numOps; ++i) {
             const auto &op = m.ops[i];
             for (unsigned w = 0; w < op.width; ++w) {
@@ -780,9 +736,7 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
     // feeds the rsDepth histogram (pushes only) and, when tracing, the
     // RsPush/RsPop events — without plumbing either into the ISA
     // executors.
-    size_t rs_before = 0;
-    if (st.isa == IsaKind::HSAIL)
-        rs_before = st.rs.size();
+    size_t rs_before = st.rs.size();
     st.pc = st.code->offsetOf(wf.pcIdx);
     // Dispatch: one indirect call through the predecoded handler, or
     // the legacy virtual path when the reference engine is selected
@@ -798,8 +752,8 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
     ++wf.wg->launch->instsIssued;
     // A diverging branch pushed an RS entry inside execute: record the
     // depth reached (Figure 9's driver; the pop loop below only ever
-    // shrinks it).
-    if (st.isa == IsaKind::HSAIL && st.rs.size() > rs_before)
+    // shrinks it). Only the IL has an RS; elsewhere it stays empty.
+    if (st.rs.size() > rs_before)
         rsDepth.sample(st.rs.size());
 
     if (vector_op)
@@ -819,62 +773,50 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
 
     // s_nop wait states block this WF's next issue (wait-state count
     // predigested into m.imm at predecode).
-    if (st.isa == IsaKind::GCN3 && m.is(arch::IsNop))
+    if (m.is(arch::IsNop) && !m.interlocked)
         wf.blockedUntil = now + m.imm + 1;
 
     // --- result latency / memory timing ---
+    // Memory results gate dependents at every level: the interlock
+    // stalls on them, and for software-managed code they feed the
+    // hazard probe (the waitcnt contract must cover them). ALU results
+    // gate them only under an interlock — GCN3 hardware forwards
+    // vector-to-vector results, and the finalizer's s_nop insertion
+    // covers the documented scalar-side wait states.
     Cycle result_ready = now + 1;
+    bool gates = m.interlocked;
     if (st.pendingAccess) {
         const arch::MemAccess &acc = *st.pendingAccess;
-        Cycle done = memAccessLatency(acc, now);
-        result_ready = done;
-        // Memory results gate dependents on both ISAs: the HSAIL
-        // scoreboard stalls on them; for GCN3 they feed the hazard
-        // probe (the waitcnt contract must cover them).
-        for (unsigned i = 0; i < m.numOps; ++i) {
-            const auto &op = m.ops[i];
-            if (!op.isDef)
-                continue;
-            for (unsigned w = 0; w < op.width; ++w) {
-                if (op.cls == arch::RegClass::Vector)
-                    wf.vregReady[op.idx + w] = done;
-                else if (op.idx + w < 128)
-                    wf.sregReady[op.idx + w] = done;
-            }
-        }
-        if (st.isa == IsaKind::GCN3) {
-            unsigned *cnt = acc.countsVmcnt() ? &st.vmCnt
-                          : acc.countsLgkmcnt() ? &st.lgkmCnt : nullptr;
-            if (cnt) {
-                ++*cnt;
-                uint64_t gen = wf.gen;
-                Wavefront *wfp = &wf;
-                eq.schedule(done, [wfp, gen, cnt]() {
-                    if (wfp->gen == gen && *cnt > 0)
-                        --*cnt;
-                });
-            }
+        result_ready = memAccessLatency(acc, now);
+        gates = true;
+        // Software dependence management counts the access until it
+        // completes, for s_waitcnt to wait on.
+        unsigned *cnt = m.interlocked ? nullptr
+                      : acc.countsVmcnt() ? &st.vmCnt
+                      : acc.countsLgkmcnt() ? &st.lgkmCnt : nullptr;
+        if (cnt) {
+            ++*cnt;
+            uint64_t gen = wf.gen;
+            Wavefront *wfp = &wf;
+            eq.schedule(result_ready, [wfp, gen, cnt]() {
+                if (wfp->gen == gen && *cnt > 0)
+                    --*cnt;
+            });
         }
         st.pendingAccess.reset();
-    } else if (st.isa != IsaKind::GCN3) {
-        // ALU latency feeds the scoreboard (HSAIL's simulator
-        // scoreboard; PTXL's fixed-latency hardware one — ISETP
-        // predicate writes land in the scalar-class slots the PTXL
-        // depsReady() checks). GCN3 hardware has no scoreboard:
-        // pipelined operand forwarding covers vector-to-vector
-        // dependences, and the finalizer's s_nop insertion covers the
-        // documented scalar-side wait states.
-        Cycle done = now + m.latency(cfg);
-        result_ready = done;
+    } else if (m.interlocked) {
+        result_ready = now + m.latency(cfg);
+    }
+    if (gates) {
         for (unsigned i = 0; i < m.numOps; ++i) {
             const auto &op = m.ops[i];
             if (!op.isDef)
                 continue;
             for (unsigned w = 0; w < op.width; ++w) {
                 if (op.cls == arch::RegClass::Vector)
-                    wf.vregReady[op.idx + w] = done;
+                    wf.vregReady[op.idx + w] = result_ready;
                 else if (op.idx + w < 128)
-                    wf.sregReady[op.idx + w] = done;
+                    wf.sregReady[op.idx + w] = result_ready;
             }
         }
     }
@@ -891,7 +833,7 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
     Addr seq_next = st.pc + m.size;
     Addr new_pc = st.nextPc;
     unsigned flushes = new_pc != seq_next ? 1 : 0;
-    if (st.isa == IsaKind::HSAIL) {
+    if (!st.rs.empty()) {
         // Reconvergence-stack maintenance. Every pop that redirects
         // the PC to the other path (or back to the reconvergence
         // point) costs another front-end redirect — the extra IB
@@ -909,13 +851,10 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
 
     // Tracing: net RS movement of this instruction (push from a
     // diverging branch inside execute, pops from the loop above).
-    if (tracing() && st.isa == IsaKind::HSAIL) {
-        size_t rs_after = st.rs.size();
-        if (rs_after != rs_before)
-            trace->emit(rs_after > rs_before ? obs::TraceKind::RsPush
+    if (tracing() && st.rs.size() != rs_before)
+        trace->emit(st.rs.size() > rs_before ? obs::TraceKind::RsPush
                                              : obs::TraceKind::RsPop,
-                        now, 0, wf.slot, rs_after);
-    }
+                    now, 0, wf.slot, st.rs.size());
 
     if (st.done) {
         finishWavefront(wf);

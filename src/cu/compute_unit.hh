@@ -6,18 +6,24 @@
  * VRF with port-conflict accounting, and 40 wavefront slots scheduled
  * oldest-first.
  *
- * The model is ISA-blind; the per-ISA differences enter exactly where
- * the paper says they must:
- *  - dependency model: HSAIL issue is gated by a simulator scoreboard
- *    (per-register ready times); GCN3 issue is gated only by its own
- *    s_waitcnt instructions, with a hazard PROBE that flags any read
- *    of a not-yet-ready register (it must stay at zero if the
- *    finalizer's software dependency management is correct);
+ * The model is ISA-blind: the issue and fast-forward paths never ask
+ * which of the three levels (HSAIL, GCN3, PTXL) they run. The per-ISA
+ * differences enter as data, exactly where the paper says they must:
+ *  - dependency model: each ISA's predecode resolves its policy into
+ *    ExecMeta::interlocked. HSAIL (a simulator scoreboard) and PTXL (a
+ *    hardware one) hold issue until every operand's ready time has
+ *    passed; GCN3 issue is gated only by its own s_waitcnt
+ *    instructions, with a hazard PROBE that flags any read of a
+ *    not-yet-ready register (it must stay at zero if the finalizer's
+ *    software dependency management is correct);
  *  - divergence: HSAIL resolves control flow through the reconvergence
- *    stack (pops cause discontinuous PCs and hence IB flushes); GCN3
- *    only redirects fetch on taken branches;
- *  - register files: HSAIL uses vector registers for everything; GCN3
- *    splits traffic between the VRF and the SRF.
+ *    stack in WfState::rs (pops cause discontinuous PCs and hence IB
+ *    flushes); GCN3's exec mask and PTXL's convergence barriers only
+ *    redirect fetch on taken branches;
+ *  - register files: HSAIL and PTXL use vector registers for
+ *    everything; GCN3 splits traffic between the VRF and the SRF. The
+ *    CU asks for the ISA only here, at workgroup placement, to reserve
+ *    SRF space and set up GCN3's ABI registers.
  */
 
 #ifndef LAST_CU_COMPUTE_UNIT_HH
@@ -139,14 +145,15 @@ class ComputeUnit : public stats::Group
     /** @} */
 
     /** @{ Issue-stall accounting. */
-    stats::Scalar scoreboardStalls; ///< HSAIL dependency stalls
-    stats::Scalar waitcntStalls;    ///< GCN3 waitcnt stalls
+    stats::Scalar scoreboardStalls; ///< interlock stalls (HSAIL, PTXL)
+    stats::Scalar waitcntStalls;    ///< GCN3 s_waitcnt stalls
     stats::Scalar fuConflictStalls;
     stats::Scalar ibEmptyStalls;
     /** @} */
 
-    /** GCN3 correctness probe: reads of registers whose producer has
-     *  not completed (must stay 0 for well-finalized code). */
+    /** Correctness probe for code without an interlock (GCN3): reads
+     *  of registers whose producer has not completed (must stay 0 for
+     *  well-finalized code). */
     stats::Scalar hazardViolations;
 
     stats::Scalar coalescedLines; ///< vector accesses after coalescing
@@ -160,7 +167,19 @@ class ComputeUnit : public stats::Group
      *  @return true iff a fetch was started (ends the fetch scan). */
     bool tryFetch(Wavefront *wf, Cycle now);
     void issueStage(Cycle now);
-    bool depsReady(Wavefront &wf, const arch::ExecMeta &m, Cycle now);
+    /** The first cycle `m`'s operands let `wf` issue it, under the
+     *  dependence policy predecode resolved (ExecMeta::interlocked):
+     *  the latest ready time of an interlocked instruction's
+     *  registers, InvalidCycle for an s_waitcnt whose counts are not
+     *  yet met, else 0. Issue and fast-forward both ask here. */
+    Cycle operandsReadyAt(const Wavefront &wf,
+                          const arch::ExecMeta &m) const;
+    /** The counter a dependency stall at `m` is charged to. */
+    stats::Scalar &
+    depStalls(const arch::ExecMeta &m)
+    {
+        return m.is(arch::IsWaitcnt) ? waitcntStalls : scoreboardStalls;
+    }
     void issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now);
     void probeVectorOperands(Wavefront &wf, const arch::ExecMeta &m,
                              bool defs);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Timing wrapper around the architectural wavefront state: instruction
- * buffer, per-register ready times (the scoreboard for HSAIL, a hazard
- * probe for GCN3), and per-WF statistics probes.
+ * buffer, per-register ready times (the interlock for HSAIL and PTXL,
+ * a hazard probe for GCN3), and per-WF statistics probes.
  */
 
 #ifndef LAST_CU_WAVEFRONT_HH
@@ -92,9 +92,10 @@ class Wavefront
     /** Tracing only: stall flavour (0 scoreboard, 1 waitcnt). */
     uint8_t stallKind = 0;
 
-    /** Per-register ready cycle: the HSAIL scoreboard blocks issue
-     *  until operands are ready; GCN3 only *checks* (hazard probe) —
-     *  hardware relies on the finalizer's waitcnt/nops. */
+    /** Per-register ready cycle: an interlocked instruction (HSAIL,
+     *  PTXL) does not issue until its operands are ready; GCN3 only
+     *  *checks* (hazard probe) — hardware relies on the finalizer's
+     *  waitcnt/nops. */
     std::vector<Cycle> vregReady;
     std::vector<Cycle> sregReady;
 

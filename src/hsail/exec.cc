@@ -3,176 +3,28 @@
  * Direct-threaded execution handlers for HSAIL.
  *
  * HsailInst::predecode resolves each static instruction to one of the
- * flat handlers below. The hot ALU op classes get templated,
- * branchless lane kernels instantiated per (opcode, data type) and
- * iterate only the active lanes (ctz over the mask, the probes.hh
- * idiom), with a full-row loop when all 64 lanes are live so the
- * compiler can autovectorize. Cold or wide (64-bit) ops fall back to
- * the unchanged reference executors, called non-virtually.
+ * flat handlers below. The hot 32-bit ALU and compare classes get the
+ * IL's shared active-lane kernels (hsail/lane_ops.hh, also PTXL's),
+ * one instantiation per (opcode, data type). Cold or wide (64-bit) ops
+ * fall back to the reference executors, called non-virtually.
  *
  * Correctness contract: every handler is bit-identical to the
- * corresponding piece of HsailInst::execute() — same per-lane scalar
- * expressions (hence the same IEEE results), same ascending lane
- * order for memory side effects, same MemAccess contents. The
- * differential suite in tests/test_exec_engine.cc runs every workload
- * both ways and compares field for field.
+ * corresponding piece of HsailInst::execute() — the same per-lane
+ * values, the same ascending lane order for memory side effects, the
+ * same MemAccess contents. The differential suite in
+ * tests/test_exec_engine.cc runs every workload both ways and compares
+ * field for field.
  */
 
 #include <bit>
-#include <cmath>
 
 #include "arch/exec_meta.hh"
 #include "common/logging.hh"
 #include "hsail/inst.hh"
+#include "hsail/lane_ops.hh"
 
 namespace last::hsail
 {
-
-namespace
-{
-
-float asF32(uint32_t b) { return std::bit_cast<float>(b); }
-uint32_t fromF32(float f) { return std::bit_cast<uint32_t>(f); }
-
-/** Operands a templated ALU kernel reads (reference: laneAlu). */
-constexpr unsigned
-aluArity(Opcode op)
-{
-    switch (op) {
-      case Opcode::Abs:
-      case Opcode::Neg:
-      case Opcode::Not:
-      case Opcode::Mov:
-        return 1;
-      case Opcode::Mad:
-      case Opcode::Fma:
-      case Opcode::Bfe:
-      case Opcode::CMov:
-        return 3;
-      default:
-        return 2;
-    }
-}
-
-/**
- * One lane of a 32-bit ALU op. The expressions are copied verbatim
- * from HsailInst::laneAlu (with the uint64 zero-extensions collapsed,
- * which cannot change any 32-bit result) — do not "simplify" them.
- */
-template <Opcode OP, DataType DT>
-inline uint32_t
-lane32(uint32_t a, [[maybe_unused]] uint32_t b, [[maybe_unused]] uint32_t c)
-{
-    if constexpr (OP == Opcode::Add) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) + asF32(b));
-        else
-            return a + b;
-    } else if constexpr (OP == Opcode::Sub) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) - asF32(b));
-        else
-            return a - b;
-    } else if constexpr (OP == Opcode::Mul) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) * asF32(b));
-        else
-            return a * b;
-    } else if constexpr (OP == Opcode::MulHi) {
-        return uint32_t((uint64_t(a) * uint64_t(b)) >> 32);
-    } else if constexpr (OP == Opcode::Mad) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) * asF32(b) + asF32(c));
-        else
-            return a * b + c;
-    } else if constexpr (OP == Opcode::Fma) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fma(asF32(a), asF32(b), asF32(c)));
-        else
-            return a * b + c;
-    } else if constexpr (OP == Opcode::Min) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fmin(asF32(a), asF32(b)));
-        else if constexpr (DT == DataType::S32)
-            return uint32_t(std::min(int32_t(a), int32_t(b)));
-        else
-            return std::min(a, b);
-    } else if constexpr (OP == Opcode::Max) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fmax(asF32(a), asF32(b)));
-        else if constexpr (DT == DataType::S32)
-            return uint32_t(std::max(int32_t(a), int32_t(b)));
-        else
-            return std::max(a, b);
-    } else if constexpr (OP == Opcode::Abs) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fabs(asF32(a)));
-        else
-            return uint32_t(std::abs(int32_t(a)));
-    } else if constexpr (OP == Opcode::Neg) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(-asF32(a));
-        else
-            return uint32_t(-int32_t(a));
-    } else if constexpr (OP == Opcode::And) {
-        return a & b;
-    } else if constexpr (OP == Opcode::Or) {
-        return a | b;
-    } else if constexpr (OP == Opcode::Xor) {
-        return a ^ b;
-    } else if constexpr (OP == Opcode::Not) {
-        return ~a;
-    } else if constexpr (OP == Opcode::Shl) {
-        return a << (b & 31);
-    } else if constexpr (OP == Opcode::Shr) {
-        return a >> (b & 31);
-    } else if constexpr (OP == Opcode::AShr) {
-        return uint32_t(int32_t(a) >> (b & 31));
-    } else if constexpr (OP == Opcode::Bfe) {
-        unsigned off = b & 31;
-        unsigned width = c & 31;
-        uint32_t mask = width == 0 ? 0xffffffffu : ((1u << width) - 1);
-        return (a >> off) & mask;
-    } else if constexpr (OP == Opcode::CMov) {
-        return a ? b : c;
-    } else if constexpr (OP == Opcode::Mov) {
-        return a;
-    } else {
-        static_assert(OP == Opcode::Mov, "no lane kernel for opcode");
-        return 0;
-    }
-}
-
-template <CmpOp C, typename T>
-inline bool
-docmp(T x, T y)
-{
-    switch (C) {
-      case CmpOp::Eq: return x == y;
-      case CmpOp::Ne: return x != y;
-      case CmpOp::Lt: return x < y;
-      case CmpOp::Le: return x <= y;
-      case CmpOp::Gt: return x > y;
-      case CmpOp::Ge: return x >= y;
-    }
-    return false;
-}
-
-template <CmpOp C, DataType DT>
-inline uint32_t
-laneCmp32(uint32_t a, uint32_t b)
-{
-    bool r;
-    if constexpr (DT == DataType::F32)
-        r = docmp<C>(asF32(a), asF32(b));
-    else if constexpr (DT == DataType::S32)
-        r = docmp<C>(int32_t(a), int32_t(b));
-    else
-        r = docmp<C>(a, b); // uint32: same order as the u64 reference
-    return r ? 1u : 0u;
-}
-
-} // namespace
 
 struct HsailExec
 {
@@ -379,132 +231,9 @@ struct HsailExec
         I.executeAlu(wf);
     }
 
-    /** movimm: broadcast the immediate into the active lanes. */
-    static void
-    movImmH(const Meta &m, Wf &wf)
-    {
-        const HsailInst &I = inst(m);
-        wf.nextPc = wf.pc + HsailInst::EncodedBytes;
-        uint64_t mask = wf.activeMask();
-        uint32_t *d = wf.vregs[I.dstReg.idx].data();
-        const uint32_t v = uint32_t(I.imm);
-        if (mask == ~0ull) {
-            for (unsigned l = 0; l < WavefrontSize; ++l)
-                d[l] = v;
-        } else {
-            for (uint64_t rest = mask; rest; rest &= rest - 1)
-                d[unsigned(std::countr_zero(rest))] = v;
-        }
-    }
-
-    /** 32-bit ALU op, one instantiation per (opcode, type). */
-    template <Opcode OP, DataType DT>
-    static void
-    aluH(const Meta &m, Wf &wf)
-    {
-        const HsailInst &I = inst(m);
-        wf.nextPc = wf.pc + HsailInst::EncodedBytes;
-        uint64_t mask = wf.activeMask();
-
-        constexpr unsigned N = aluArity(OP);
-        uint32_t *d = wf.vregs[I.dstReg.idx].data();
-        const uint32_t *a = wf.vregs[I.srcRegs[0].idx].data();
-        const uint32_t *b = a;
-        const uint32_t *c = a;
-        if constexpr (N >= 2)
-            b = wf.vregs[I.srcRegs[1].idx].data();
-        if constexpr (N >= 3)
-            c = wf.vregs[I.srcRegs[2].idx].data();
-
-        if (mask == ~0ull) {
-            for (unsigned l = 0; l < WavefrontSize; ++l)
-                d[l] = lane32<OP, DT>(a[l], b[l], c[l]);
-        } else {
-            for (uint64_t rest = mask; rest; rest &= rest - 1) {
-                unsigned l = unsigned(std::countr_zero(rest));
-                d[l] = lane32<OP, DT>(a[l], b[l], c[l]);
-            }
-        }
-    }
-
-    /** 32-bit compare, one instantiation per (cmp op, type). */
-    template <CmpOp C, DataType DT>
-    static void
-    cmpH(const Meta &m, Wf &wf)
-    {
-        const HsailInst &I = inst(m);
-        wf.nextPc = wf.pc + HsailInst::EncodedBytes;
-        uint64_t mask = wf.activeMask();
-
-        uint32_t *d = wf.vregs[I.dstReg.idx].data();
-        const uint32_t *a = wf.vregs[I.srcRegs[0].idx].data();
-        const uint32_t *b = wf.vregs[I.srcRegs[1].idx].data();
-
-        if (mask == ~0ull) {
-            for (unsigned l = 0; l < WavefrontSize; ++l)
-                d[l] = laneCmp32<C, DT>(a[l], b[l]);
-        } else {
-            for (uint64_t rest = mask; rest; rest &= rest - 1) {
-                unsigned l = unsigned(std::countr_zero(rest));
-                d[l] = laneCmp32<C, DT>(a[l], b[l]);
-            }
-        }
-    }
-
-    template <DataType DT>
-    static arch::ExecHandler
-    pickAluDt(Opcode op)
-    {
-        switch (op) {
-          case Opcode::Add: return &aluH<Opcode::Add, DT>;
-          case Opcode::Sub: return &aluH<Opcode::Sub, DT>;
-          case Opcode::Mul: return &aluH<Opcode::Mul, DT>;
-          case Opcode::MulHi: return &aluH<Opcode::MulHi, DT>;
-          case Opcode::Mad: return &aluH<Opcode::Mad, DT>;
-          case Opcode::Fma: return &aluH<Opcode::Fma, DT>;
-          case Opcode::Min: return &aluH<Opcode::Min, DT>;
-          case Opcode::Max: return &aluH<Opcode::Max, DT>;
-          case Opcode::Abs: return &aluH<Opcode::Abs, DT>;
-          case Opcode::Neg: return &aluH<Opcode::Neg, DT>;
-          case Opcode::And: return &aluH<Opcode::And, DT>;
-          case Opcode::Or: return &aluH<Opcode::Or, DT>;
-          case Opcode::Xor: return &aluH<Opcode::Xor, DT>;
-          case Opcode::Not: return &aluH<Opcode::Not, DT>;
-          case Opcode::Shl: return &aluH<Opcode::Shl, DT>;
-          case Opcode::Shr: return &aluH<Opcode::Shr, DT>;
-          case Opcode::AShr: return &aluH<Opcode::AShr, DT>;
-          case Opcode::Bfe: return &aluH<Opcode::Bfe, DT>;
-          case Opcode::CMov: return &aluH<Opcode::CMov, DT>;
-          case Opcode::Mov: return &aluH<Opcode::Mov, DT>;
-          default: return nullptr; // Div/Rem/Sqrt/Cvt/specials: generic
-        }
-    }
-
-    template <DataType DT>
-    static arch::ExecHandler
-    pickCmpDt(CmpOp c)
-    {
-        switch (c) {
-          case CmpOp::Eq: return &cmpH<CmpOp::Eq, DT>;
-          case CmpOp::Ne: return &cmpH<CmpOp::Ne, DT>;
-          case CmpOp::Lt: return &cmpH<CmpOp::Lt, DT>;
-          case CmpOp::Le: return &cmpH<CmpOp::Le, DT>;
-          case CmpOp::Gt: return &cmpH<CmpOp::Gt, DT>;
-          case CmpOp::Ge: return &cmpH<CmpOp::Ge, DT>;
-        }
-        return nullptr;
-    }
-
     static arch::ExecHandler
     pick(const HsailInst &I)
     {
-        auto srcs_valid = [&](unsigned n) {
-            for (unsigned s = 0; s < n; ++s)
-                if (!I.srcRegs[s].valid())
-                    return false;
-            return true;
-        };
-
         switch (I.opc) {
           case Opcode::Ld:
           case Opcode::St:
@@ -515,51 +244,9 @@ struct HsailExec
           case Opcode::Barrier: return &barrierH;
           case Opcode::Ret: return &retH;
           case Opcode::Nop: return &nopH;
-          case Opcode::MovImm:
-            return (typeRegs(I.dtype) == 1 && I.dstReg.valid())
-                       ? &movImmH : &aluGenericH;
-          case Opcode::Cmp: {
-            if (typeRegs(I.dtype) == 1 && I.dstReg.valid() &&
-                srcs_valid(2)) {
-                arch::ExecHandler h = nullptr;
-                switch (I.dtype) {
-                  case DataType::B32:
-                    h = pickCmpDt<DataType::B32>(I.cmpop); break;
-                  case DataType::U32:
-                    h = pickCmpDt<DataType::U32>(I.cmpop); break;
-                  case DataType::S32:
-                    h = pickCmpDt<DataType::S32>(I.cmpop); break;
-                  case DataType::F32:
-                    h = pickCmpDt<DataType::F32>(I.cmpop); break;
-                  default: break;
-                }
-                if (h)
-                    return h;
-            }
-            return &aluGenericH;
-          }
           default: {
-            // The templated kernels assume every register they touch
-            // is present; anything irregular takes the generic path,
-            // which handles missing operands like the reference does.
-            if (typeRegs(I.dtype) == 1 && I.dstReg.valid() &&
-                srcs_valid(aluArity(I.opc))) {
-                arch::ExecHandler h = nullptr;
-                switch (I.dtype) {
-                  case DataType::B32:
-                    h = pickAluDt<DataType::B32>(I.opc); break;
-                  case DataType::U32:
-                    h = pickAluDt<DataType::U32>(I.opc); break;
-                  case DataType::S32:
-                    h = pickAluDt<DataType::S32>(I.opc); break;
-                  case DataType::F32:
-                    h = pickAluDt<DataType::F32>(I.opc); break;
-                  default: break;
-                }
-                if (h)
-                    return h;
-            }
-            return &aluGenericH;
+            arch::ExecHandler h = IlAluHandlers<HsailInst>::pick(I, I.opc);
+            return h ? h : &aluGenericH;
           }
         }
     }
@@ -569,6 +256,9 @@ void
 HsailInst::predecode(arch::ExecMeta &m) const
 {
     m.handler = HsailExec::pick(*this);
+    // The IL has no dependence management: the simulator's scoreboard
+    // holds every instruction until its operands are ready.
+    m.interlocked = true;
 }
 
 } // namespace last::hsail

@@ -1,24 +1,13 @@
 #include "hsail/inst.hh"
 
-#include <bit>
-#include <cmath>
 #include <sstream>
 
 #include "arch/kernel_code.hh"
 #include "common/logging.hh"
+#include "hsail/lane_ops.hh"
 
 namespace last::hsail
 {
-
-namespace
-{
-
-float asF32(uint32_t b) { return std::bit_cast<float>(b); }
-uint32_t fromF32(float f) { return std::bit_cast<uint32_t>(f); }
-double asF64(uint64_t b) { return std::bit_cast<double>(b); }
-uint64_t fromF64(double d) { return std::bit_cast<uint64_t>(d); }
-
-} // namespace
 
 const char *
 opcodeName(Opcode op)
@@ -370,194 +359,7 @@ HsailInst::fuType() const
 uint64_t
 HsailInst::laneAlu(const arch::WfState &wf, unsigned lane) const
 {
-    auto rd32 = [&](Reg r) { return wf.readVreg(r.idx, lane); };
-    auto rd = [&](Reg r, DataType t) -> uint64_t {
-        return typeRegs(t) == 2 ? wf.readVreg64(r.idx, lane)
-                                : uint64_t(wf.readVreg(r.idx, lane));
-    };
-    DataType t = dtype;
-    uint64_t a = srcRegs[0].valid() ? rd(srcRegs[0], t) : 0;
-    uint64_t b = srcRegs[1].valid() ? rd(srcRegs[1], t) : 0;
-    uint64_t c = srcRegs[2].valid() ? rd(srcRegs[2], t) : 0;
-
-    switch (opc) {
-      case Opcode::Add:
-        switch (t) {
-          case DataType::F32: return fromF32(asF32(a) + asF32(b));
-          case DataType::F64: return fromF64(asF64(a) + asF64(b));
-          default: return (t == DataType::U64) ? a + b
-                       : uint64_t(uint32_t(a) + uint32_t(b));
-        }
-      case Opcode::Sub:
-        switch (t) {
-          case DataType::F32: return fromF32(asF32(a) - asF32(b));
-          case DataType::F64: return fromF64(asF64(a) - asF64(b));
-          default: return (t == DataType::U64) ? a - b
-                       : uint64_t(uint32_t(a) - uint32_t(b));
-        }
-      case Opcode::Mul:
-        switch (t) {
-          case DataType::F32: return fromF32(asF32(a) * asF32(b));
-          case DataType::F64: return fromF64(asF64(a) * asF64(b));
-          default: return (t == DataType::U64) ? a * b
-                       : uint64_t(uint32_t(a) * uint32_t(b));
-        }
-      case Opcode::MulHi:
-        return uint64_t(uint32_t((uint64_t(uint32_t(a)) *
-                                  uint64_t(uint32_t(b))) >> 32));
-      case Opcode::Mad:
-        switch (t) {
-          case DataType::F32:
-            return fromF32(asF32(a) * asF32(b) + asF32(c));
-          case DataType::F64:
-            return fromF64(asF64(a) * asF64(b) + asF64(c));
-          default:
-            return uint64_t(uint32_t(a) * uint32_t(b) + uint32_t(c));
-        }
-      case Opcode::Fma:
-        switch (t) {
-          case DataType::F32:
-            return fromF32(std::fma(asF32(a), asF32(b), asF32(c)));
-          case DataType::F64:
-            return fromF64(std::fma(asF64(a), asF64(b), asF64(c)));
-          default:
-            return uint64_t(uint32_t(a) * uint32_t(b) + uint32_t(c));
-        }
-      case Opcode::Div:
-        switch (t) {
-          case DataType::F32: return fromF32(asF32(a) / asF32(b));
-          case DataType::F64: return fromF64(asF64(a) / asF64(b));
-          case DataType::S32:
-            return int32_t(b) == 0
-                ? 0 : uint64_t(uint32_t(int32_t(a) / int32_t(b)));
-          default:
-            return uint32_t(b) == 0
-                ? 0 : uint64_t(uint32_t(a) / uint32_t(b));
-        }
-      case Opcode::Rem:
-        switch (t) {
-          case DataType::S32:
-            return int32_t(b) == 0
-                ? 0 : uint64_t(uint32_t(int32_t(a) % int32_t(b)));
-          default:
-            return uint32_t(b) == 0
-                ? 0 : uint64_t(uint32_t(a) % uint32_t(b));
-        }
-      case Opcode::Min:
-        switch (t) {
-          case DataType::F32:
-            return fromF32(std::fmin(asF32(a), asF32(b)));
-          case DataType::F64:
-            return fromF64(std::fmin(asF64(a), asF64(b)));
-          case DataType::S32:
-            return uint64_t(uint32_t(std::min(int32_t(a), int32_t(b))));
-          default:
-            return std::min(uint32_t(a), uint32_t(b));
-        }
-      case Opcode::Max:
-        switch (t) {
-          case DataType::F32:
-            return fromF32(std::fmax(asF32(a), asF32(b)));
-          case DataType::F64:
-            return fromF64(std::fmax(asF64(a), asF64(b)));
-          case DataType::S32:
-            return uint64_t(uint32_t(std::max(int32_t(a), int32_t(b))));
-          default:
-            return std::max(uint32_t(a), uint32_t(b));
-        }
-      case Opcode::Abs:
-        switch (t) {
-          case DataType::F32: return fromF32(std::fabs(asF32(a)));
-          case DataType::F64: return fromF64(std::fabs(asF64(a)));
-          default:
-            return uint64_t(uint32_t(std::abs(int32_t(a))));
-        }
-      case Opcode::Neg:
-        switch (t) {
-          case DataType::F32: return fromF32(-asF32(a));
-          case DataType::F64: return fromF64(-asF64(a));
-          default: return uint64_t(uint32_t(-int32_t(a)));
-        }
-      case Opcode::Sqrt:
-        return t == DataType::F64 ? fromF64(std::sqrt(asF64(a)))
-                                  : fromF32(std::sqrt(asF32(a)));
-      case Opcode::And: return a & b;
-      case Opcode::Or: return a | b;
-      case Opcode::Xor: return a ^ b;
-      case Opcode::Not: return t == DataType::U64 ? ~a : uint64_t(~uint32_t(a));
-      case Opcode::Shl:
-        return t == DataType::U64 ? a << (b & 63)
-                                  : uint64_t(uint32_t(a) << (b & 31));
-      case Opcode::Shr:
-        return t == DataType::U64 ? a >> (b & 63)
-                                  : uint64_t(uint32_t(a) >> (b & 31));
-      case Opcode::AShr:
-        return uint64_t(uint32_t(int32_t(a) >> (b & 31)));
-      case Opcode::Bfe: {
-        unsigned off = unsigned(b) & 31;
-        unsigned width = unsigned(c) & 31;
-        uint32_t mask = width == 0 ? 0xffffffffu : ((1u << width) - 1);
-        return (uint32_t(a) >> off) & mask;
-      }
-      case Opcode::Cmp: {
-        bool r = false;
-        auto docmp = [&](auto x, auto y) {
-            switch (cmpop) {
-              case CmpOp::Eq: return x == y;
-              case CmpOp::Ne: return x != y;
-              case CmpOp::Lt: return x < y;
-              case CmpOp::Le: return x <= y;
-              case CmpOp::Gt: return x > y;
-              case CmpOp::Ge: return x >= y;
-            }
-            return false;
-        };
-        switch (t) {
-          case DataType::F32: r = docmp(asF32(a), asF32(b)); break;
-          case DataType::F64: r = docmp(asF64(a), asF64(b)); break;
-          case DataType::S32: r = docmp(int32_t(a), int32_t(b)); break;
-          default: r = docmp(uint64_t(a), uint64_t(b)); break;
-        }
-        return r ? 1 : 0;
-      }
-      case Opcode::CMov:
-        return rd32(srcRegs[0]) ? b : c;
-      case Opcode::Mov:
-        return a;
-      case Opcode::MovImm:
-        return imm;
-      case Opcode::Cvt: {
-        uint64_t s = typeRegs(srcDtype) == 2
-            ? wf.readVreg64(srcRegs[0].idx, lane)
-            : uint64_t(wf.readVreg(srcRegs[0].idx, lane));
-        double v;
-        switch (srcDtype) {
-          case DataType::F32: v = asF32(uint32_t(s)); break;
-          case DataType::F64: v = asF64(s); break;
-          case DataType::S32: v = double(int32_t(s)); break;
-          default: v = double(s); break;
-        }
-        switch (dtype) {
-          case DataType::F32: return fromF32(float(v));
-          case DataType::F64: return fromF64(v);
-          case DataType::S32: return uint64_t(uint32_t(int32_t(v)));
-          case DataType::U64: return uint64_t(v);
-          default: return uint64_t(uint32_t(v));
-        }
-      }
-      case Opcode::WorkItemAbsId:
-        return wf.globalId(lane);
-      case Opcode::WorkItemId:
-        return wf.wfIdInWg * WavefrontSize + lane;
-      case Opcode::WorkGroupId:
-        return wf.wgId;
-      case Opcode::WorkGroupSize:
-        return wf.wgSize;
-      case Opcode::GridSize:
-        return wf.gridSize;
-      default:
-        panic("laneAlu on non-ALU opcode %s", opcodeName(opc));
-    }
+    return laneReference(wf, lane, opc, dtype, srcDtype, cmpop, srcRegs, imm);
 }
 
 void

@@ -84,7 +84,8 @@ enum class TraceKind : uint8_t
     IbFlush,        ///< instant; arg0=slot, arg1=flush count
     RsPush,         ///< instant; arg0=slot, arg1=new RS depth
     RsPop,          ///< instant; arg0=slot, arg1=new RS depth
-    DepStall,       ///< span; arg0=slot, arg1=0 scoreboard / 1 waitcnt
+    DepStall,       ///< span; arg0=slot, arg1=0 scoreboard (HSAIL,
+                    ///< PTXL) / 1 waitcnt (GCN3)
     WfStart,        ///< instant; arg0=slot, arg1=workgroup id
     WfEnd,          ///< instant; arg0=slot, arg1=workgroup id
     CacheMiss,      ///< span miss->fill; arg0=byte addr, arg1=isWrite

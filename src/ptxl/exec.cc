@@ -3,10 +3,12 @@
  * Direct-threaded execution handlers for PTXL.
  *
  * PtxlInst::predecode resolves each static instruction to one of the
- * flat handlers below, following the src/hsail/exec.cc idiom: the hot
- * 32-bit ALU classes get templated active-lane kernels (ctz over the
- * mask, full-row loop when all 64 lanes are live), and everything
- * else calls the unchanged reference executors non-virtually.
+ * flat handlers below, following the src/hsail/exec.cc idiom. ALU
+ * instructions carry IL value semantics, so the hot 32-bit classes get
+ * the IL's shared active-lane kernels (hsail/lane_ops.hh); this file
+ * holds only what is PTXL's own — ISETP, SEL/P2R, S2R, the convergence
+ * barriers, branches and memory — and everything without a kernel
+ * calls the reference executors non-virtually.
  *
  * Correctness contract: every handler is bit-identical to the
  * corresponding piece of PtxlInst::execute(); tests/test_ptxl.cc runs
@@ -14,130 +16,14 @@
  */
 
 #include <bit>
-#include <cmath>
 
 #include "arch/exec_meta.hh"
 #include "common/logging.hh"
+#include "hsail/lane_ops.hh"
 #include "ptxl/inst.hh"
 
 namespace last::ptxl
 {
-
-namespace
-{
-
-using hsail::Opcode;
-
-float asF32(uint32_t b) { return std::bit_cast<float>(b); }
-uint32_t fromF32(float f) { return std::bit_cast<uint32_t>(f); }
-
-/** Operands a templated ALU kernel reads (reference: laneAlu). */
-constexpr unsigned
-aluArity(Opcode op)
-{
-    switch (op) {
-      case Opcode::Abs:
-      case Opcode::Neg:
-      case Opcode::Not:
-      case Opcode::Mov:
-        return 1;
-      case Opcode::Mad:
-      case Opcode::Fma:
-      case Opcode::Bfe:
-        return 3;
-      default:
-        return 2;
-    }
-}
-
-/**
- * One lane of a 32-bit ALU op; the expressions are the same verbatim
- * copies of HsailInst::laneAlu that PtxlInst::laneAlu holds — do not
- * "simplify" them.
- */
-template <Opcode OP, DataType DT>
-inline uint32_t
-lane32(uint32_t a, [[maybe_unused]] uint32_t b, [[maybe_unused]] uint32_t c)
-{
-    if constexpr (OP == Opcode::Add) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) + asF32(b));
-        else
-            return a + b;
-    } else if constexpr (OP == Opcode::Sub) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) - asF32(b));
-        else
-            return a - b;
-    } else if constexpr (OP == Opcode::Mul) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) * asF32(b));
-        else
-            return a * b;
-    } else if constexpr (OP == Opcode::MulHi) {
-        return uint32_t((uint64_t(a) * uint64_t(b)) >> 32);
-    } else if constexpr (OP == Opcode::Mad) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) * asF32(b) + asF32(c));
-        else
-            return a * b + c;
-    } else if constexpr (OP == Opcode::Fma) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fma(asF32(a), asF32(b), asF32(c)));
-        else
-            return a * b + c;
-    } else if constexpr (OP == Opcode::Min) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fmin(asF32(a), asF32(b)));
-        else if constexpr (DT == DataType::S32)
-            return uint32_t(std::min(int32_t(a), int32_t(b)));
-        else
-            return std::min(a, b);
-    } else if constexpr (OP == Opcode::Max) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fmax(asF32(a), asF32(b)));
-        else if constexpr (DT == DataType::S32)
-            return uint32_t(std::max(int32_t(a), int32_t(b)));
-        else
-            return std::max(a, b);
-    } else if constexpr (OP == Opcode::Abs) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fabs(asF32(a)));
-        else
-            return uint32_t(std::abs(int32_t(a)));
-    } else if constexpr (OP == Opcode::Neg) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(-asF32(a));
-        else
-            return uint32_t(-int32_t(a));
-    } else if constexpr (OP == Opcode::And) {
-        return a & b;
-    } else if constexpr (OP == Opcode::Or) {
-        return a | b;
-    } else if constexpr (OP == Opcode::Xor) {
-        return a ^ b;
-    } else if constexpr (OP == Opcode::Not) {
-        return ~a;
-    } else if constexpr (OP == Opcode::Shl) {
-        return a << (b & 31);
-    } else if constexpr (OP == Opcode::Shr) {
-        return a >> (b & 31);
-    } else if constexpr (OP == Opcode::AShr) {
-        return uint32_t(int32_t(a) >> (b & 31));
-    } else if constexpr (OP == Opcode::Bfe) {
-        unsigned off = b & 31;
-        unsigned width = c & 31;
-        uint32_t mask = width == 0 ? 0xffffffffu : ((1u << width) - 1);
-        return (a >> off) & mask;
-    } else if constexpr (OP == Opcode::Mov) {
-        return a;
-    } else {
-        static_assert(OP == Opcode::Mov, "no lane kernel for opcode");
-        return 0;
-    }
-}
-
-} // namespace
 
 struct PtxlExec
 {
@@ -232,92 +118,9 @@ struct PtxlExec
         }
     }
 
-    /** MOV32I: broadcast the immediate into the active lanes. */
-    static void
-    movImmH(const Meta &m, Wf &wf)
-    {
-        const PtxlInst &I = inst(m);
-        wf.nextPc = wf.pc + PtxlInst::EncodedBytes;
-        uint64_t mask = wf.exec;
-        uint32_t *d = wf.vregs[I.dstReg.idx].data();
-        const uint32_t v = uint32_t(I.imm);
-        if (mask == ~0ull) {
-            for (unsigned l = 0; l < WavefrontSize; ++l)
-                d[l] = v;
-        } else {
-            for (uint64_t rest = mask; rest; rest &= rest - 1)
-                d[unsigned(std::countr_zero(rest))] = v;
-        }
-    }
-
-    /** 32-bit ALU op, one instantiation per (semantic, type). */
-    template <Opcode OP, DataType DT>
-    static void
-    aluH(const Meta &m, Wf &wf)
-    {
-        const PtxlInst &I = inst(m);
-        wf.nextPc = wf.pc + PtxlInst::EncodedBytes;
-        uint64_t mask = wf.exec;
-
-        constexpr unsigned N = aluArity(OP);
-        uint32_t *d = wf.vregs[I.dstReg.idx].data();
-        const uint32_t *a = wf.vregs[I.srcRegs[0].idx].data();
-        const uint32_t *b = a;
-        const uint32_t *c = a;
-        if constexpr (N >= 2)
-            b = wf.vregs[I.srcRegs[1].idx].data();
-        if constexpr (N >= 3)
-            c = wf.vregs[I.srcRegs[2].idx].data();
-
-        if (mask == ~0ull) {
-            for (unsigned l = 0; l < WavefrontSize; ++l)
-                d[l] = lane32<OP, DT>(a[l], b[l], c[l]);
-        } else {
-            for (uint64_t rest = mask; rest; rest &= rest - 1) {
-                unsigned l = unsigned(std::countr_zero(rest));
-                d[l] = lane32<OP, DT>(a[l], b[l], c[l]);
-            }
-        }
-    }
-
-    template <DataType DT>
-    static arch::ExecHandler
-    pickAluDt(Opcode op)
-    {
-        switch (op) {
-          case Opcode::Add: return &aluH<Opcode::Add, DT>;
-          case Opcode::Sub: return &aluH<Opcode::Sub, DT>;
-          case Opcode::Mul: return &aluH<Opcode::Mul, DT>;
-          case Opcode::MulHi: return &aluH<Opcode::MulHi, DT>;
-          case Opcode::Mad: return &aluH<Opcode::Mad, DT>;
-          case Opcode::Fma: return &aluH<Opcode::Fma, DT>;
-          case Opcode::Min: return &aluH<Opcode::Min, DT>;
-          case Opcode::Max: return &aluH<Opcode::Max, DT>;
-          case Opcode::Abs: return &aluH<Opcode::Abs, DT>;
-          case Opcode::Neg: return &aluH<Opcode::Neg, DT>;
-          case Opcode::And: return &aluH<Opcode::And, DT>;
-          case Opcode::Or: return &aluH<Opcode::Or, DT>;
-          case Opcode::Xor: return &aluH<Opcode::Xor, DT>;
-          case Opcode::Not: return &aluH<Opcode::Not, DT>;
-          case Opcode::Shl: return &aluH<Opcode::Shl, DT>;
-          case Opcode::Shr: return &aluH<Opcode::Shr, DT>;
-          case Opcode::AShr: return &aluH<Opcode::AShr, DT>;
-          case Opcode::Bfe: return &aluH<Opcode::Bfe, DT>;
-          case Opcode::Mov: return &aluH<Opcode::Mov, DT>;
-          default: return nullptr; // Div/Rem/Sqrt/Cvt/specials: generic
-        }
-    }
-
     static arch::ExecHandler
     pick(const PtxlInst &I)
     {
-        auto srcs_valid = [&](unsigned n) {
-            for (unsigned s = 0; s < n; ++s)
-                if (!I.srcRegs[s].valid())
-                    return false;
-            return true;
-        };
-
         switch (I.opc) {
           case PtxlOp::Ldg:
           case PtxlOp::Stg:
@@ -341,28 +144,9 @@ struct PtxlExec
           case PtxlOp::S2r:
             return I.dstReg.valid() ? &s2rH : &aluGenericH;
           case PtxlOp::Alu: {
-            if (I.sem == Opcode::MovImm) {
-                return (typeRegs(I.dtype) == 1 && I.dstReg.valid())
-                           ? &movImmH : &aluGenericH;
-            }
-            if (typeRegs(I.dtype) == 1 && I.dstReg.valid() &&
-                srcs_valid(aluArity(I.sem))) {
-                arch::ExecHandler h = nullptr;
-                switch (I.dtype) {
-                  case DataType::B32:
-                    h = pickAluDt<DataType::B32>(I.sem); break;
-                  case DataType::U32:
-                    h = pickAluDt<DataType::U32>(I.sem); break;
-                  case DataType::S32:
-                    h = pickAluDt<DataType::S32>(I.sem); break;
-                  case DataType::F32:
-                    h = pickAluDt<DataType::F32>(I.sem); break;
-                  default: break;
-                }
-                if (h)
-                    return h;
-            }
-            return &aluGenericH;
+            arch::ExecHandler h =
+                hsail::IlAluHandlers<PtxlInst>::pick(I, I.sem);
+            return h ? h : &aluGenericH;
           }
         }
         return &aluGenericH;
@@ -373,6 +157,8 @@ void
 PtxlInst::predecode(arch::ExecMeta &m) const
 {
     m.handler = PtxlExec::pick(*this);
+    // Fixed-latency hardware scoreboard over registers and predicates.
+    m.interlocked = true;
 }
 
 } // namespace last::ptxl

@@ -82,6 +82,7 @@ class PtxlInst : public arch::Instruction
     hsail::Opcode aluSem() const { return sem; }
     DataType type() const { return dtype; }
     Segment segment() const { return seg; }
+    CmpOp cmpOp() const { return cmpop; }
     Reg dst() const { return dstReg; }
     Reg src(unsigned i) const { return srcRegs[i]; }
     uint8_t predDst() const { return pdst; }
