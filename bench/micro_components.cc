@@ -1,29 +1,23 @@
 /**
  * @file
  * Component microbenchmarks (google-benchmark): how fast the simulator
- * itself runs — functional memory, cache timing model, both ISA
- * interpreters, the finalizer, and whole-kernel simulation rate.
+ * itself runs — functional memory, the event queue, the cache timing
+ * model, the statistic probes, the finalizer, and whole-kernel
+ * simulation rate.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <functional>
-#include <thread>
-
-#include "arch/exec_meta.hh"
 #include "arch/kernel_code.hh"
 #include "common/event_queue.hh"
 #include "cu/probes.hh"
 #include "finalizer/finalizer.hh"
-#include "gcn3/inst.hh"
 #include "finalizer/regalloc.hh"
 #include "hsail/builder.hh"
 #include "memory/cache.hh"
 #include "memory/dram.hh"
 #include "memory/functional_memory.hh"
 #include "runtime/runtime.hh"
-#include "sim/parallel.hh"
 
 using namespace last;
 using namespace last::hsail;
@@ -153,50 +147,6 @@ BM_CoalesceLines(benchmark::State &state)
 }
 BENCHMARK(BM_CoalesceLines);
 
-/**
- * Pathologically skewed task durations for the sweep scheduler: 64
- * tasks where the first 16 — exactly worker 0's static chunk at 4
- * workers — take 40x longer than the rest (a bfsgraph/pipeline block
- * at the front of the matrix next to vecadd-class specs). The tasks
- * are timed waits rather than spins so the measured wall clock is the
- * *schedule makespan* on any core count: static chunking serializes
- * the whole long block behind one worker (~32 ms) while work stealing
- * spreads it across all four (~8 ms).
- */
-std::vector<std::function<void()>>
-skewedScheduleTasks()
-{
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(64);
-    for (int i = 0; i < 64; ++i) {
-        auto dur = std::chrono::microseconds(i < 16 ? 2000 : 50);
-        tasks.push_back([dur] { std::this_thread::sleep_for(dur); });
-    }
-    return tasks;
-}
-
-void
-BM_ParallelInvokeSkewedStatic(benchmark::State &state)
-{
-    auto tasks = skewedScheduleTasks();
-    for (auto _ : state)
-        sim::parallelInvokeStatic(tasks, 4);
-}
-BENCHMARK(BM_ParallelInvokeSkewedStatic)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void
-BM_ParallelInvokeSkewedSteal(benchmark::State &state)
-{
-    auto tasks = skewedScheduleTasks();
-    for (auto _ : state)
-        sim::parallelInvoke(tasks, 4);
-}
-BENCHMARK(BM_ParallelInvokeSkewedSteal)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 IlKernel
 computeKernel()
 {
@@ -242,117 +192,6 @@ BM_SimulateKernel(benchmark::State &state)
 }
 BENCHMARK(BM_SimulateKernel)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
-
-/** A sealed GCN3 instruction stream for the execution-engine
- *  microbenches; `mixed` adds scalar ALU / compare / select / nop
- *  instructions so the dispatch chain crosses handler kinds the way a
- *  real kernel does instead of hammering one VALU template. */
-std::unique_ptr<arch::KernelCode>
-gcnChain(bool mixed)
-{
-    using gcn3::Dst;
-    using gcn3::Gcn3Inst;
-    using gcn3::Gcn3Op;
-    using gcn3::Src;
-    auto code = std::make_unique<arch::KernelCode>(
-        IsaKind::GCN3, mixed ? "bench_dispatch" : "bench_valu");
-    auto add = [&](Gcn3Inst *i) {
-        code->append(std::unique_ptr<arch::Instruction>(i));
-    };
-    for (unsigned i = 0; i < 16; ++i) {
-        unsigned a = i % 8, b = (i + 3) % 8, d = 8 + i % 8;
-        add(Gcn3Inst::vop2(Gcn3Op::V_ADD_F32, Dst::vgpr(d),
-                           Src::vgpr(a), Src::vgpr(b)));
-        add(Gcn3Inst::vop2(Gcn3Op::V_MAC_F32, Dst::vgpr(d),
-                           Src::vgpr(b), Src::vgpr(a)));
-        add(Gcn3Inst::vop2(Gcn3Op::V_ADD_U32, Dst::vgpr(d),
-                           Src::vgpr(a), Src::vgpr(b)));
-        add(Gcn3Inst::vop2(Gcn3Op::V_XOR_B32, Dst::vgpr(d),
-                           Src::vgpr(d), Src::vgpr(a)));
-        if (mixed) {
-            add(Gcn3Inst::sop2(Gcn3Op::S_ADD_U32, Dst::sgpr(4 + i % 4),
-                               Src::sgpr(4 + (i + 1) % 4),
-                               Src::imm(i + 1)));
-            add(Gcn3Inst::vcmp(Gcn3Op::V_CMP_LT_U32, Src::vgpr(a),
-                               Src::vgpr(b)));
-            add(Gcn3Inst::vop2(Gcn3Op::V_CNDMASK_B32, Dst::vgpr(d),
-                               Src::vgpr(a), Src::vgpr(b)));
-            add(Gcn3Inst::sopp(Gcn3Op::S_NOP, 0));
-        }
-    }
-    code->seal();
-    return code;
-}
-
-arch::WfState
-chainWfState(mem::FunctionalMemory &memory)
-{
-    arch::WfState st;
-    st.isa = IsaKind::GCN3;
-    st.memory = &memory;
-    st.vregs.assign(16, arch::LaneVec{});
-    for (unsigned r = 0; r < 16; ++r)
-        for (unsigned l = 0; l < 64; ++l)
-            st.vregs[r][l] = (r * 64 + l) * 2654435761u;
-    st.initLaunch(~0ull);
-    return st;
-}
-
-/** Raw per-instruction execution rate through the two engines
- *  (Arg 0 = predecoded handlers, Arg 1 = virtual reference), VALU
- *  templates only — the lane-kernel speedup isolated from the timing
- *  model. */
-void
-BM_ExecuteValuLoop(benchmark::State &state)
-{
-    const bool reference = state.range(0) != 0;
-    auto code = gcnChain(false);
-    const auto &metas = code->execMetas();
-    mem::FunctionalMemory memory;
-    arch::WfState st = chainWfState(memory);
-    uint64_t insts = 0;
-    for (auto _ : state) {
-        for (size_t i = 0; i < metas.size(); ++i) {
-            st.pc = code->offsetOf(i);
-            if (reference)
-                metas[i].inst->execute(st);
-            else
-                metas[i].handler(metas[i], st);
-        }
-        insts += metas.size();
-    }
-    state.counters["insts_per_s"] = benchmark::Counter(
-        double(insts), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ExecuteValuLoop)->Arg(0)->Arg(1);
-
-/** Same comparison over a heterogeneous stream (VALU + SALU + VCMP +
- *  select + nop): what indirect handler dispatch costs against the
- *  double virtual/switch decode when the instruction kind changes
- *  every few instructions. */
-void
-BM_DispatchChain(benchmark::State &state)
-{
-    const bool reference = state.range(0) != 0;
-    auto code = gcnChain(true);
-    const auto &metas = code->execMetas();
-    mem::FunctionalMemory memory;
-    arch::WfState st = chainWfState(memory);
-    uint64_t insts = 0;
-    for (auto _ : state) {
-        for (size_t i = 0; i < metas.size(); ++i) {
-            st.pc = code->offsetOf(i);
-            if (reference)
-                metas[i].inst->execute(st);
-            else
-                metas[i].handler(metas[i], st);
-        }
-        insts += metas.size();
-    }
-    state.counters["insts_per_s"] = benchmark::Counter(
-        double(insts), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_DispatchChain)->Arg(0)->Arg(1);
 
 void
 BM_Finalize(benchmark::State &state)

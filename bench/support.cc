@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 #include "common/atomic_file.hh"
 #include "common/logging.hh"
@@ -28,41 +27,6 @@ benchScale()
 }
 
 /**
- * The ISA columns of the sweep: every level in AllIsas by default, or
- * the comma-separated subset in LAST_BENCH_ISAS (e.g. "HSAIL,GCN3" —
- * the perf gate times that two-ISA sweep so its wall-clock stays
- * comparable with pre-PTXL baselines). The figure binaries reproduce
- * the paper's HSAIL-vs-GCN3 comparison, so those two levels are
- * mandatory; the subset keeps AllIsas order regardless of how the
- * list was spelled.
- */
-std::vector<IsaKind>
-benchIsas()
-{
-    const char *env = std::getenv("LAST_BENCH_ISAS");
-    if (!env || !*env)
-        return {AllIsas, AllIsas + NumIsas};
-    bool want[NumIsas] = {};
-    std::string list(env), tok;
-    std::istringstream is(list);
-    while (std::getline(is, tok, ',')) {
-        IsaKind isa;
-        fatal_if(!isaFromName(tok, isa),
-                 "LAST_BENCH_ISAS: unknown isa '%s'", tok.c_str());
-        want[unsigned(isa)] = true;
-    }
-    fatal_if(!want[unsigned(IsaKind::HSAIL)] ||
-                 !want[unsigned(IsaKind::GCN3)],
-             "LAST_BENCH_ISAS must include HSAIL and GCN3 (the "
-             "figures reproduce that pair)");
-    std::vector<IsaKind> isas;
-    for (IsaKind isa : AllIsas)
-        if (want[unsigned(isa)])
-            isas.push_back(isa);
-    return isas;
-}
-
-/**
  * The cached sweep, incrementally: load whatever usable rows
  * last_bench_cache.csv has (a stale version, damaged row, wrong
  * scale, or quarantined entry is dropped with a loud warn(), never
@@ -79,16 +43,7 @@ loadOrCompute()
 {
     const double scale = benchScale();
     const auto names = workloads::allWorkloadNames();
-    const auto isas = benchIsas();
-    auto specs = sim::canonicalMatrix(scale, 0);
-    if (isas.size() != NumIsas) {
-        std::vector<sim::RunSpec> kept;
-        for (const sim::RunSpec &s : specs)
-            for (IsaKind isa : isas)
-                if (s.isa == isa)
-                    kept.push_back(s);
-        specs = std::move(kept);
-    }
+    const auto specs = sim::canonicalMatrix(scale, 0);
 
     sim::BenchCacheFile cache;
     {
@@ -145,36 +100,28 @@ loadOrCompute()
         });
     }
 
-    // Cache rows are in canonical order: the selected ISAs in AllIsas
-    // order per workload, workloads in allWorkloadNames order. Every
-    // level must retire the same lane-visible results; the figures
-    // then draw the paper's HSAIL/GCN3 pair.
-    size_t nIsas = isas.size(), hAt = 0, gAt = 0;
-    for (size_t k = 0; k < nIsas; ++k) {
-        if (isas[k] == IsaKind::HSAIL)
-            hAt = k;
-        if (isas[k] == IsaKind::GCN3)
-            gAt = k;
-    }
-    fatal_if(outcome.cache.rows.size() != names.size() * nIsas,
+    // Cache rows are in canonical order: the AllIsas levels per
+    // workload, workloads in allWorkloadNames order. Every level must
+    // retire the same lane-visible results; the figures then draw the
+    // paper's HSAIL/GCN3 pair.
+    fatal_if(outcome.cache.rows.size() != names.size() * NumIsas,
              "bench cache has %zu rows, want %zu",
-             outcome.cache.rows.size(), names.size() * nIsas);
+             outcome.cache.rows.size(), names.size() * NumIsas);
     std::vector<AppPair> out;
     out.reserve(names.size());
     for (size_t i = 0; i < names.size(); ++i) {
-        for (size_t k = 0; k < nIsas; ++k) {
-            const sim::AppResult &r =
-                outcome.cache.rows[nIsas * i + k].result;
+        sim::CachedRun *rows = &outcome.cache.rows[NumIsas * i];
+        for (size_t k = 0; k < NumIsas; ++k) {
+            const sim::AppResult &r = rows[k].result;
             fatal_if(!r.verified, "workload %s failed %s verification",
                      names[i].c_str(), isaName(r.isa));
-            fatal_if(r.digest !=
-                         outcome.cache.rows[nIsas * i].result.digest,
+            fatal_if(r.digest != rows[0].result.digest,
                      "workload %s: cross-ISA result mismatch (%s)",
                      names[i].c_str(), isaName(r.isa));
         }
-        sim::AppResult &h = outcome.cache.rows[nIsas * i + hAt].result;
-        sim::AppResult &g = outcome.cache.rows[nIsas * i + gAt].result;
-        out.push_back({std::move(h), std::move(g)});
+        out.push_back(
+            {std::move(rows[unsigned(IsaKind::HSAIL)].result),
+             std::move(rows[unsigned(IsaKind::GCN3)].result)});
     }
     return out;
 }

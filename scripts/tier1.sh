@@ -9,11 +9,6 @@
 # nonzero if ANY failed, so CI cannot green-light a partial pass.
 #
 # Usage: scripts/tier1.sh    (from the repo root)
-#        LAST_TIER1_PERF=1 scripts/tier1.sh
-#            additionally runs the perf-regression smoke
-#            (scripts/bench_perf.sh --quick, gated against the newest
-#            committed BENCH_*.json) — opt-in because wall-clock gating
-#            only means something on a quiet machine.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -52,27 +47,17 @@ fi
 # the stress-differential job (three-way cross-ISA agreement and the
 # N×N golden signatures), whose lane-mask/stack manipulation is where
 # out-of-bounds bugs would live — plus the IL lane table and its
-# integer corner cases, where UBSan flags any signed overflow. CI's
-# asan job runs the same filter.
+# integer corner cases, where UBSan flags any signed overflow — plus
+# the golden cache, which regenerates all 42 specs and byte-compares
+# them with last_bench_cache.csv under the sanitizers' build flags.
+# CI's asan job runs the same filter.
 if cmake -B build-asan -S . -DLAST_ASAN=ON &&
     cmake --build build-asan -j --target last_tests; then
     ./build-asan/tests/last_tests \
-        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*:Ops/IlLaneTable.*:IlLaneSemantics.*' ||
+        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*:Ops/IlLaneTable.*:IlLaneSemantics.*:GoldenCache.*' ||
         fail "ASan/UBSan suite"
 else
     fail "ASan build"
-fi
-
-# Opt-in perf smoke: Release sweep + microbenches, byte-identity of
-# the regenerated result cache, and the >25% regression gate.
-if [ "${LAST_TIER1_PERF:-0}" = "1" ]; then
-    baseline=$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1)
-    if [ -n "$baseline" ]; then
-        scripts/bench_perf.sh --quick --check "$baseline" \
-            /tmp/tier1_bench_perf.json || fail "perf smoke"
-    else
-        fail "perf smoke: no committed BENCH_*.json baseline"
-    fi
 fi
 
 if [ "$status" -eq 0 ]; then

@@ -44,14 +44,8 @@ GpuConfig::defaultExecReference()
     // Resolved once: the switch selects an engine for the whole
     // process; per-run overrides go through the GpuConfig field.
     static const bool def = [] {
-#ifdef LAST_EXEC_REFERENCE_DEFAULT
-        bool v = true;
-#else
-        bool v = false;
-#endif
-        if (const char *env = std::getenv("LAST_EXEC_REFERENCE"))
-            v = *env && std::strcmp(env, "0") != 0;
-        return v;
+        const char *env = std::getenv("LAST_EXEC_REFERENCE");
+        return env && *env && std::strcmp(env, "0") != 0;
     }();
     return def;
 }

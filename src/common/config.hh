@@ -131,8 +131,8 @@ struct GpuConfig
     /// (Instruction::execute) instead of the predecoded
     /// direct-threaded handlers. Bit-identical results either way —
     /// the differential suite (tests/test_exec_engine.cc) enforces it.
-    /// Defaults from the LAST_EXEC_REFERENCE environment variable (or
-    /// the -DLAST_EXEC_REFERENCE=ON build); see defaultExecReference().
+    /// Defaults from the LAST_EXEC_REFERENCE environment variable; see
+    /// defaultExecReference().
     bool execReference = defaultExecReference();
 
     static bool defaultExecReference();

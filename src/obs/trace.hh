@@ -11,7 +11,8 @@
  * chrome://tracing or https://ui.perfetto.dev. One simulated GPU cycle
  * is mapped to one microsecond of viewer time.
  *
- * Cost model (the execute path is perf-gated, see scripts/bench_perf.sh):
+ * Cost model (the execute path is perf-gated by hostbench, see
+ * BENCHMARK.json and CI's perf-smoke job):
  *  - compiled out (`-DLAST_OBS_TRACE_POINTS=OFF`, which defines
  *    `LAST_OBS_TRACE=0`): trace points vanish entirely;
  *  - compiled in, disabled (default — `GpuConfig::trace == nullptr`):

@@ -186,46 +186,6 @@ parallelInvoke(const std::vector<std::function<void()>> &tasks,
             std::rethrow_exception(e);
 }
 
-void
-parallelInvokeStatic(const std::vector<std::function<void()>> &tasks,
-                     unsigned jobs)
-{
-    const size_t n = tasks.size();
-    if (jobs == 0)
-        jobs = defaultJobs();
-    if (jobs > n)
-        jobs = unsigned(n);
-
-    std::vector<std::exception_ptr> errors(n);
-    auto runTask = [&](size_t i) {
-        try {
-            tasks[i]();
-        } catch (...) {
-            errors[i] = std::current_exception();
-        }
-    };
-
-    if (jobs <= 1) {
-        for (size_t i = 0; i < n; ++i)
-            runTask(i);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned w = 0; w < jobs; ++w)
-            pool.emplace_back([&, w] {
-                size_t lo, hi;
-                staticChunk(n, jobs, w, lo, hi);
-                for (size_t i = lo; i < hi; ++i)
-                    runTask(i);
-            });
-        for (auto &th : pool)
-            th.join();
-    }
-    for (const auto &e : errors)
-        if (e)
-            std::rethrow_exception(e);
-}
-
 std::vector<AppResult>
 runMany(const std::vector<RunSpec> &specs, unsigned jobs)
 {

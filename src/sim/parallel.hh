@@ -81,16 +81,6 @@ std::vector<std::exception_ptr>
 parallelInvokeCollect(const std::vector<std::function<void()>> &tasks,
                       unsigned jobs = 0, PoolStats *stats = nullptr);
 
-/**
- * The pre-work-stealing baseline: static contiguous chunking, one
- * chunk per worker, no rebalancing. Kept only so benchmarks and tests
- * can quantify what stealing buys on skewed task durations
- * (BM_ParallelInvokeSkewed*); everything in the simulator goes through
- * parallelInvoke. Same error contract as parallelInvoke.
- */
-void parallelInvokeStatic(const std::vector<std::function<void()>> &tasks,
-                          unsigned jobs = 0);
-
 /** Run every spec concurrently; results in input (spec) order.
  *  Fail-fast contract: the first (lowest-index) worker exception is
  *  rethrown after all workers drain. Use runSweep for the graceful,

@@ -188,6 +188,19 @@ TEST(Config, Table4Defaults)
     EXPECT_NE(cfg.summary().find("8 CUs"), std::string::npos);
 }
 
+TEST(BuildFlags, NoFloatContraction)
+{
+    // The committed bench cache holds host floating-point results, so
+    // the build must round a*b before adding c, never fuse the two
+    // into one FMA (src/CMakeLists.txt pins -ffp-contract=off). Here
+    // a*b = 1 - 2^-60 rounds to 1: two roundings give 0, a fused
+    // multiply-add gives -2^-60.
+    volatile double a = 1 + 0x1p-30, b = 1 - 0x1p-30, c = -1;
+    const double r = a * b + c;
+    EXPECT_EQ(r, 0.0) << "a*b+c was contracted into an FMA (got " << r
+                      << "); the build must keep -ffp-contract=off";
+}
+
 TEST(Logging, PanicAndFatalThrow)
 {
     EXPECT_THROW(panic("boom %d", 42), std::runtime_error);

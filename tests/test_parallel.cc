@@ -154,30 +154,6 @@ TEST(ParallelDriver, ExceptionSlotsCorrectUnderStealing)
     }
 }
 
-TEST(ParallelDriver, StaticBaselineMatchesStealingResults)
-{
-    // parallelInvokeStatic exists only as the benchmark baseline, but
-    // it must honor the same contract: every task once, lowest-index
-    // exception rethrown.
-    std::atomic<int> total{0};
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 37; ++i)
-        tasks.push_back([&total, i] { total.fetch_add(i); });
-    sim::parallelInvokeStatic(tasks, 4);
-    EXPECT_EQ(total.load(), 37 * 36 / 2);
-
-    std::vector<std::function<void()>> failing = {
-        [] { throw std::runtime_error("first"); },
-        [] { throw std::logic_error("second"); },
-    };
-    try {
-        sim::parallelInvokeStatic(failing, 2);
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "first");
-    }
-}
-
 TEST(ParallelDriver, StealingScheduleNeverChangesResults)
 {
     // The ISSUE's determinism acceptance: AppResults from the
