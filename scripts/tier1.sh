@@ -46,15 +46,16 @@ fi
 # PTXL legs (warp-split stack, convergence barriers, scoreboard) and
 # the stress-differential job (three-way cross-ISA agreement and the
 # N×N golden signatures), whose lane-mask/stack manipulation is where
-# out-of-bounds bugs would live — plus the IL lane table and its
-# integer corner cases, where UBSan flags any signed overflow — plus
-# the golden cache, which regenerates all 42 specs and byte-compares
-# them with last_bench_cache.csv under the sanitizers' build flags.
+# out-of-bounds bugs would live — plus the IL and GCN3 lane tables,
+# the GCN3 VALU sweep and the IL's integer corner cases, where UBSan
+# flags any signed overflow — plus the golden cache, which regenerates
+# all 42 specs and byte-compares them with last_bench_cache.csv under
+# the sanitizers' build flags.
 # CI's asan job runs the same filter.
 if cmake -B build-asan -S . -DLAST_ASAN=ON &&
     cmake --build build-asan -j --target last_tests; then
     ./build-asan/tests/last_tests \
-        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*:Ops/IlLaneTable.*:IlLaneSemantics.*:GoldenCache.*' ||
+        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*:Ops/IlLaneTable.*:IlLaneSemantics.*:GoldenCache.*:Ops/Gcn3LaneTable.*:Ops/Gcn3ValuSweep.*' ||
         fail "ASan/UBSan suite"
 else
     fail "ASan build"

@@ -14,9 +14,15 @@
  *  - `handler`: a flat function pointer resolved from the opcode, so
  *    dispatch is one indirect call with no switch chain. Every ISA
  *    picks it in its predecode() (src/hsail/exec.cc, src/gcn3/exec.cc,
- *    src/ptxl/exec.cc); handlers for the hot op classes iterate
- *    active lanes ctz-style with branchless, autovectorizable lane
- *    kernels. The legacy virtual path stays available behind
+ *    src/ptxl/exec.cc). The hot 32-bit ALU and compare ops of all
+ *    three levels run the IL's fast lane kernels (hsail/lane_ops.hh),
+ *    ctz-style over the active lanes and autovectorizable over a full
+ *    mask: a second implementation beside the reference's laneValue().
+ *    Besides a few trivial control handlers, every other class runs
+ *    refH (below), which calls the one implementation the reference
+ *    execute() also runs (memory through arch/lane_mem.hh, branches,
+ *    scalar ops, GCN3's own VALU ops, the 64-bit ALU tail). The
+ *    legacy virtual path stays available behind
  *    GpuConfig::execReference and must produce bit-identical results
  *    (enforced by tests/test_exec_engine.cc and tests/test_ptxl.cc).
  *  - flags/fu/size/latClass: the virtual metadata, pre-flattened.
@@ -42,12 +48,12 @@
 #include <cstdint>
 
 #include "arch/instruction.hh"
+#include "arch/wf_state.hh"
 #include "common/config.hh"
 
 namespace last::arch
 {
 
-struct WfState;
 struct ExecMeta;
 
 /** Direct-threaded handler: functionally execute `m.inst` for all
@@ -136,6 +142,20 @@ struct ExecMeta
         return 1;
     }
 };
+
+/**
+ * The handler of a class with one implementation: advance the PC and
+ * call the reference executor `Exec` non-virtually. Each level's
+ * predecode() names its (private) executors here, so the predecoded
+ * and the reference engine run the same body.
+ */
+template <class Inst, void (Inst::*Exec)(WfState &) const>
+void
+refH(const ExecMeta &m, WfState &wf)
+{
+    wf.nextPc = wf.pc + m.size;
+    (static_cast<const Inst &>(*m.inst).*Exec)(wf);
+}
 
 } // namespace last::arch
 

@@ -1,34 +1,40 @@
 /**
  * @file
- * Direct-threaded execution handlers for GCN3.
+ * Direct-threaded execution handlers for GCN3, and the VALU ops only
+ * GCN3 has.
  *
  * Gcn3Inst::predecode resolves each static instruction to one of the
- * flat handlers below. The hot VALU and VOPC op classes get templated
- * lane kernels, one instantiation per opcode, fed by *resolved operand
- * rows*: each source is turned into a stride-1 pointer over 64 lanes
- * up front (a VGPR row directly; SGPRs and constants broadcast into a
- * thread-local scratch row; the VOP3 negate modifier folded in), so
- * the inner loop is a branchless elementwise map the compiler can
- * autovectorize. Active lanes iterate ctz-style (the probes.hh idiom)
- * with a plain 0..63 loop when the exec mask is full. FLAT/DS/SMEM
- * build their MemAccess in place inside wf.pendingAccess (no 600-byte
- * copies); SALU/SOPP and the cold VALU tail reuse the unchanged
- * reference executors non-virtually.
+ * flat handlers below. A VALU or VOPC op with an IL twin (ilTwin(),
+ * src/gcn3/inst.hh) and 32-bit types runs the IL's fast lane kernel
+ * (hsail/lane_ops.hh, shared with HSAIL and PTXL), one instantiation
+ * per opcode; the reference execute() runs the IL's reference lane
+ * semantics on the same operands, so the lane-table tests compare two
+ * implementations. The kernels are fed *resolved operand rows*: each
+ * source becomes a stride-1 pointer over 64 lanes up front (a VGPR row
+ * directly; SGPRs and constants broadcast into a thread-local scratch
+ * row; the VOP3 negate modifier folded in), so the inner loop is a
+ * branchless elementwise map the compiler can autovectorize.
  *
- * Correctness contract: bit-identical to Gcn3Inst::execute(). The
- * same per-lane scalar expressions run in the same ascending lane
- * order (so overlapping stores and atomics land identically), SGPR
- * broadcast is exact because no VALU op writes scalar state mid-loop,
- * and the differential suite in tests/test_exec_engine.cc compares
- * every workload field for field against the reference engine.
+ * Everything else has one implementation that both engines run: the
+ * ops only GCN3 has (executeOwnValu, below, on the same rows), and
+ * the reference executors for SALU, SOPP, memory (over the lane body
+ * all three levels share, arch/lane_mem.hh) and the 64-bit twins.
+ *
+ * Correctness contract: bit-identical to Gcn3Inst::execute(). Lanes
+ * run in ascending order, SGPR broadcast is exact because no VALU op
+ * writes scalar state mid-loop, and the differential suite in
+ * tests/test_exec_engine.cc compares every workload field for field
+ * against the reference engine.
  */
 
+#include <array>
 #include <bit>
-#include <cmath>
+#include <utility>
 
 #include "arch/exec_meta.hh"
 #include "common/logging.hh"
 #include "gcn3/inst.hh"
+#include "hsail/lane_ops.hh"
 
 namespace last::gcn3
 {
@@ -36,166 +42,9 @@ namespace last::gcn3
 namespace
 {
 
-float asF32(uint32_t b) { return std::bit_cast<float>(b); }
-uint32_t fromF32(float f) { return std::bit_cast<uint32_t>(f); }
-
 /** Scratch rows for broadcast/negated operands; thread-local because
  *  the parallel sweep driver executes wavefronts on many threads. */
 thread_local arch::LaneVec t_row[3];
-
-/** Operands a templated VALU/VOPC kernel reads (reference: the a/b/c
- *  reads in executeValu). */
-constexpr unsigned
-valuArity(Gcn3Op op)
-{
-    switch (op) {
-      case Gcn3Op::V_MOV_B32:
-      case Gcn3Op::V_NOT_B32:
-      case Gcn3Op::V_RCP_F32:
-      case Gcn3Op::V_SQRT_F32:
-      case Gcn3Op::V_CVT_F32_U32:
-      case Gcn3Op::V_CVT_F32_I32:
-      case Gcn3Op::V_CVT_U32_F32:
-      case Gcn3Op::V_CVT_I32_F32:
-        return 1;
-      case Gcn3Op::V_MAD_F32:
-      case Gcn3Op::V_FMA_F32:
-      case Gcn3Op::V_MAD_U32_U24:
-      case Gcn3Op::V_BFE_U32:
-      case Gcn3Op::V_DIV_FMAS_F32:
-      case Gcn3Op::V_DIV_FIXUP_F32:
-        return 3;
-      default:
-        return 2;
-    }
-}
-
-/**
- * One lane of a 32-bit VALU op. Expressions copied verbatim from
- * Gcn3Inst::executeValu — do not "simplify" them. `d_old` is the
- * pre-write destination value (V_MAC_F32 accumulates into it);
- * `vcc_bit` is this lane's VCC bit (V_CNDMASK_B32 selects on it).
- */
-template <Gcn3Op OP>
-inline uint32_t
-laneV(uint32_t a, [[maybe_unused]] uint32_t b, [[maybe_unused]] uint32_t c,
-      [[maybe_unused]] uint32_t d_old, [[maybe_unused]] bool vcc_bit)
-{
-    if constexpr (OP == Gcn3Op::V_MOV_B32) {
-        return a;
-    } else if constexpr (OP == Gcn3Op::V_NOT_B32) {
-        return ~a;
-    } else if constexpr (OP == Gcn3Op::V_RCP_F32) {
-        return fromF32(1.0f / asF32(a));
-    } else if constexpr (OP == Gcn3Op::V_SQRT_F32) {
-        return fromF32(std::sqrt(asF32(a)));
-    } else if constexpr (OP == Gcn3Op::V_CVT_F32_U32) {
-        return fromF32(float(a));
-    } else if constexpr (OP == Gcn3Op::V_CVT_F32_I32) {
-        return fromF32(float(int32_t(a)));
-    } else if constexpr (OP == Gcn3Op::V_CVT_U32_F32) {
-        return uint32_t(asF32(a));
-    } else if constexpr (OP == Gcn3Op::V_CVT_I32_F32) {
-        return uint32_t(int32_t(asF32(a)));
-    } else if constexpr (OP == Gcn3Op::V_MUL_LO_U32) {
-        return a * b;
-    } else if constexpr (OP == Gcn3Op::V_MUL_HI_U32) {
-        return uint32_t((uint64_t(a) * b) >> 32);
-    } else if constexpr (OP == Gcn3Op::V_ADD_F32) {
-        return fromF32(asF32(a) + asF32(b));
-    } else if constexpr (OP == Gcn3Op::V_SUB_F32) {
-        return fromF32(asF32(a) - asF32(b));
-    } else if constexpr (OP == Gcn3Op::V_MUL_F32) {
-        return fromF32(asF32(a) * asF32(b));
-    } else if constexpr (OP == Gcn3Op::V_MAC_F32) {
-        return fromF32(asF32(a) * asF32(b) + asF32(d_old));
-    } else if constexpr (OP == Gcn3Op::V_MIN_F32) {
-        return fromF32(std::fmin(asF32(a), asF32(b)));
-    } else if constexpr (OP == Gcn3Op::V_MAX_F32) {
-        return fromF32(std::fmax(asF32(a), asF32(b)));
-    } else if constexpr (OP == Gcn3Op::V_MIN_U32) {
-        return std::min(a, b);
-    } else if constexpr (OP == Gcn3Op::V_MAX_U32) {
-        return std::max(a, b);
-    } else if constexpr (OP == Gcn3Op::V_MIN_I32) {
-        return uint32_t(std::min(int32_t(a), int32_t(b)));
-    } else if constexpr (OP == Gcn3Op::V_MAX_I32) {
-        return uint32_t(std::max(int32_t(a), int32_t(b)));
-    } else if constexpr (OP == Gcn3Op::V_AND_B32) {
-        return a & b;
-    } else if constexpr (OP == Gcn3Op::V_OR_B32) {
-        return a | b;
-    } else if constexpr (OP == Gcn3Op::V_XOR_B32) {
-        return a ^ b;
-    } else if constexpr (OP == Gcn3Op::V_LSHLREV_B32) {
-        return b << (a & 31);
-    } else if constexpr (OP == Gcn3Op::V_LSHRREV_B32) {
-        return b >> (a & 31);
-    } else if constexpr (OP == Gcn3Op::V_ASHRREV_I32) {
-        return uint32_t(int32_t(b) >> (a & 31));
-    } else if constexpr (OP == Gcn3Op::V_CNDMASK_B32) {
-        return vcc_bit ? b : a;
-    } else if constexpr (OP == Gcn3Op::V_MAD_F32) {
-        return fromF32(asF32(a) * asF32(b) + asF32(c));
-    } else if constexpr (OP == Gcn3Op::V_FMA_F32) {
-        return fromF32(std::fma(asF32(a), asF32(b), asF32(c)));
-    } else if constexpr (OP == Gcn3Op::V_MAD_U32_U24) {
-        return (a & 0xffffff) * (b & 0xffffff) + c;
-    } else if constexpr (OP == Gcn3Op::V_BFE_U32) {
-        unsigned off = b & 31;
-        unsigned width = c & 31;
-        uint32_t mask = width == 0 ? 0xffffffffu : ((1u << width) - 1);
-        return (a >> off) & mask;
-    } else if constexpr (OP == Gcn3Op::V_DIV_FMAS_F32) {
-        return fromF32(std::fma(asF32(a), asF32(b), asF32(c)));
-    } else if constexpr (OP == Gcn3Op::V_DIV_FIXUP_F32) {
-        return fromF32(asF32(c) / asF32(b));
-    } else {
-        static_assert(OP == Gcn3Op::V_MOV_B32, "no lane kernel for op");
-        return 0;
-    }
-}
-
-/** One lane of a 32-bit V_CMP; mirrors executeVcmp's typed cmpi. */
-template <Gcn3Op OP>
-inline bool
-laneCmp(uint32_t a, uint32_t b)
-{
-    if constexpr (OP == Gcn3Op::V_CMP_EQ_U32) return a == b;
-    else if constexpr (OP == Gcn3Op::V_CMP_NE_U32) return a != b;
-    else if constexpr (OP == Gcn3Op::V_CMP_LT_U32) return a < b;
-    else if constexpr (OP == Gcn3Op::V_CMP_LE_U32) return a <= b;
-    else if constexpr (OP == Gcn3Op::V_CMP_GT_U32) return a > b;
-    else if constexpr (OP == Gcn3Op::V_CMP_GE_U32) return a >= b;
-    else if constexpr (OP == Gcn3Op::V_CMP_EQ_I32)
-        return int32_t(a) == int32_t(b);
-    else if constexpr (OP == Gcn3Op::V_CMP_NE_I32)
-        return int32_t(a) != int32_t(b);
-    else if constexpr (OP == Gcn3Op::V_CMP_LT_I32)
-        return int32_t(a) < int32_t(b);
-    else if constexpr (OP == Gcn3Op::V_CMP_LE_I32)
-        return int32_t(a) <= int32_t(b);
-    else if constexpr (OP == Gcn3Op::V_CMP_GT_I32)
-        return int32_t(a) > int32_t(b);
-    else if constexpr (OP == Gcn3Op::V_CMP_GE_I32)
-        return int32_t(a) >= int32_t(b);
-    else if constexpr (OP == Gcn3Op::V_CMP_EQ_F32)
-        return asF32(a) == asF32(b);
-    else if constexpr (OP == Gcn3Op::V_CMP_NE_F32)
-        return asF32(a) != asF32(b);
-    else if constexpr (OP == Gcn3Op::V_CMP_LT_F32)
-        return asF32(a) < asF32(b);
-    else if constexpr (OP == Gcn3Op::V_CMP_LE_F32)
-        return asF32(a) <= asF32(b);
-    else if constexpr (OP == Gcn3Op::V_CMP_GT_F32)
-        return asF32(a) > asF32(b);
-    else if constexpr (OP == Gcn3Op::V_CMP_GE_F32)
-        return asF32(a) >= asF32(b);
-    else {
-        static_assert(OP == Gcn3Op::V_CMP_EQ_U32, "no cmp kernel for op");
-        return false;
-    }
-}
 
 } // namespace
 
@@ -214,15 +63,15 @@ struct Gcn3Exec
      * Resolve source operand `i` to a stride-1 row of 64 lane values,
      * value-identical to readSrc32(wf, i, lane) for every lane. VGPRs
      * without a negate modifier return the register row itself; every
-     * other case broadcasts or copies into `scratch`. Hoisting the
-     * SGPR read out of the lane loop is exact: no templated VALU/VOPC
-     * op writes SGPRs, VCC, or EXEC mid-loop.
+     * other case broadcasts or copies into t_row[slot]. Hoisting the
+     * SGPR read out of the lane loop is exact: no VALU/VOPC op writes
+     * SGPRs, VCC, or EXEC mid-loop.
      */
     static const uint32_t *
-    row32(const Gcn3Inst &I, const Wf &wf, unsigned i,
-          arch::LaneVec &scratch)
+    row32(const Gcn3Inst &I, const Wf &wf, unsigned i, unsigned slot)
     {
         const Src &s = I.srcs[i];
+        arch::LaneVec &scratch = t_row[slot];
         const uint32_t neg =
             (I.negMask & (1u << i)) ? 0x80000000u : 0;
         switch (s.kind) {
@@ -250,355 +99,193 @@ struct Gcn3Exec
         return scratch.data();
     }
 
-    /** @{ Cold wrappers: the unchanged reference executors, minus the
-     *  virtual hop (and the switch chains they sit behind). */
-    static void
-    saluH(const Meta &m, Wf &wf)
-    {
-        wf.nextPc = wf.pc + m.size;
-        inst(m).executeSalu(wf);
-    }
-
-    static void
-    soppH(const Meta &m, Wf &wf)
-    {
-        wf.nextPc = wf.pc + m.size;
-        inst(m).executeSopp(wf);
-    }
-
-    static void
-    valuGenericH(const Meta &m, Wf &wf)
-    {
-        wf.nextPc = wf.pc + m.size;
-        inst(m).executeValu(wf);
-    }
-
-    static void
-    vcmpGenericH(const Meta &m, Wf &wf)
-    {
-        wf.nextPc = wf.pc + m.size;
-        inst(m).executeVcmp(wf);
-    }
-    /** @} */
-
-    /** s_load: mirrors executeSmem with the MemAccess built in place. */
-    static void
-    smemH(const Meta &m, Wf &wf)
-    {
-        const Gcn3Inst &I = inst(m);
-        wf.nextPc = wf.pc + m.size;
-        Addr addr = wf.readSgpr64(I.srcs[0].reg) + I.simm;
-        unsigned dwords = I.dstWidth();
-        for (unsigned d = 0; d < dwords; ++d) {
-            uint32_t v = wf.memory->read<uint32_t>(addr + 4 * d);
-            wf.writeSgpr(I.dst.reg + d, v);
-        }
-        arch::MemAccess &acc = wf.pendingAccess.emplace();
-        acc.kind = arch::MemAccess::Kind::ScalarLoad;
-        acc.scalarAddr = addr;
-        acc.scalarBytes = 4 * dwords;
-    }
-
-    /** flat_*: mirrors executeFlat; ctz lane order == the reference's
-     *  ascending scan, so atomics and overlapping stores agree. */
-    static void
-    flatH(const Meta &m, Wf &wf)
-    {
-        const Gcn3Inst &I = inst(m);
-        wf.nextPc = wf.pc + m.size;
-        arch::MemAccess &acc = wf.pendingAccess.emplace();
-        bool is_store = m.is(arch::IsStore) && !m.is(arch::IsAtomic);
-        unsigned dwords =
-            (I.opc == Gcn3Op::FLAT_LOAD_DWORDX2 ||
-             I.opc == Gcn3Op::FLAT_STORE_DWORDX2) ? 2 : 1;
-        acc.kind = is_store ? arch::MemAccess::Kind::VectorStore
-                            : arch::MemAccess::Kind::VectorLoad;
-        acc.bytesPerLane = 4 * dwords;
-        acc.mask = wf.exec;
-
-        for (uint64_t rest = wf.exec; rest; rest &= rest - 1) {
-            unsigned lane = unsigned(std::countr_zero(rest));
-            Addr addr = wf.readVreg64(I.srcs[0].reg, lane);
-            acc.laneAddrs[lane] = addr;
-            if (I.opc == Gcn3Op::FLAT_ATOMIC_ADD) {
-                uint32_t old = wf.memory->read<uint32_t>(addr);
-                uint32_t add = wf.readVreg(I.srcs[1].reg, lane);
-                wf.memory->write<uint32_t>(addr, old + add);
-                if (I.dst.valid())
-                    wf.writeVreg(I.dst.reg, lane, old);
-            } else if (is_store) {
-                for (unsigned d = 0; d < dwords; ++d)
-                    wf.memory->write<uint32_t>(
-                        addr + 4 * d,
-                        wf.readVreg(I.srcs[1].reg + d, lane));
-            } else {
-                for (unsigned d = 0; d < dwords; ++d)
-                    wf.writeVreg(I.dst.reg + d, lane,
-                                 wf.memory->read<uint32_t>(addr + 4 * d));
-            }
-        }
-    }
-
-    /** ds_*: mirrors executeDs, same in-place/ctz treatment. */
-    static void
-    dsH(const Meta &m, Wf &wf)
-    {
-        const Gcn3Inst &I = inst(m);
-        wf.nextPc = wf.pc + m.size;
-        arch::MemAccess &acc = wf.pendingAccess.emplace();
-        bool is_store = m.is(arch::IsStore);
-        unsigned dwords =
-            (I.opc == Gcn3Op::DS_READ_B64 ||
-             I.opc == Gcn3Op::DS_WRITE_B64) ? 2 : 1;
-        acc.kind = is_store ? arch::MemAccess::Kind::LdsStore
-                            : arch::MemAccess::Kind::LdsLoad;
-        acc.bytesPerLane = 4 * dwords;
-        acc.mask = wf.exec;
-
-        for (uint64_t rest = wf.exec; rest; rest &= rest - 1) {
-            unsigned lane = unsigned(std::countr_zero(rest));
-            Addr off = Addr(wf.readVreg(I.srcs[0].reg, lane)) + I.simm;
-            acc.laneAddrs[lane] = off;
-            if (is_store) {
-                for (unsigned d = 0; d < dwords; ++d)
-                    wf.lds->write32(off + 4 * d,
-                                    wf.readVreg(I.srcs[1].reg + d, lane));
-            } else {
-                for (unsigned d = 0; d < dwords; ++d)
-                    wf.writeVreg(I.dst.reg + d, lane,
-                                 wf.lds->read32(off + 4 * d));
-            }
-        }
-    }
-
-    /** 32-bit VALU op over resolved rows, one instantiation per op. */
+    /** A 32-bit VALU/VOPC op with an IL twin: the IL's fast kernel over
+     *  resolved rows, one instantiation per opcode. */
     template <Gcn3Op OP>
     static void
-    valuH(const Meta &m, Wf &wf)
+    twinH(const Meta &m, Wf &wf)
     {
+        using hsail::Opcode;
+        constexpr IlTwin T = ilTwin(OP);
         const Gcn3Inst &I = inst(m);
         wf.nextPc = wf.pc + m.size;
-        const uint64_t exec = wf.exec;
-        const uint64_t vcc = wf.vcc;
 
-        constexpr unsigned N = valuArity(OP);
-        uint32_t *d = wf.vregs[I.dst.reg].data();
-        const uint32_t *a = row32(I, wf, 0, t_row[0]);
-        const uint32_t *b = a;
-        const uint32_t *c = a;
-        if constexpr (N >= 2)
-            b = row32(I, wf, 1, t_row[1]);
-        if constexpr (N >= 3)
-            c = row32(I, wf, 2, t_row[2]);
+        // VOPC has no destination row (and a kernel may have no VGPR).
+        uint32_t *d = nullptr;
+        if constexpr (T.op != Opcode::Cmp)
+            d = wf.vregs[I.dst.reg].data();
+        const uint32_t *s[3] = {};
+        for (unsigned i = 0; i < 3; ++i)
+            s[i] = i >= hsail::aluArity(T.op) ? s[0]
+                 : T.src[i] == IlTwin::DstRow ? d
+                 : row32(I, wf, T.src[i], i);
+        const uint32_t *a = s[0], *b = s[1], *c = s[2];
 
-        if (exec == ~0ull) {
-            for (unsigned l = 0; l < WavefrontSize; ++l)
-                d[l] = laneV<OP>(a[l], b[l], c[l], d[l],
-                                 (vcc >> l) & 1);
+        if constexpr (T.op == Opcode::Cmp) {
+            // VCC gets the result mask; inactive lanes read 0.
+            const uint64_t exec = wf.exec;
+            uint64_t result = 0;
+            if (exec == ~0ull) {
+                for (unsigned l = 0; l < WavefrontSize; ++l)
+                    result |= uint64_t(hsail::laneCmp32<T.cmp, T.type>(
+                                  a[l], b[l])) << l;
+            } else {
+                for (uint64_t rest = exec; rest; rest &= rest - 1) {
+                    unsigned l = unsigned(std::countr_zero(rest));
+                    result |= uint64_t(hsail::laneCmp32<T.cmp, T.type>(
+                                  a[l], b[l])) << l;
+                }
+            }
+            wf.vcc = result;
+        } else if constexpr (T.op == Opcode::Cvt) {
+            // The reference conversion itself, at constant types.
+            hsail::forLanes(wf.exec, d, [=](unsigned l) {
+                return uint32_t(hsail::laneCvt(T.type, T.srcType, a[l]));
+            });
         } else {
-            for (uint64_t rest = exec; rest; rest &= rest - 1) {
-                unsigned l = unsigned(std::countr_zero(rest));
-                d[l] = laneV<OP>(a[l], b[l], c[l], d[l],
-                                 (vcc >> l) & 1);
-            }
+            hsail::forLanes(wf.exec, d, [=](unsigned l) {
+                return hsail::lane32<T.op, T.type>(a[l], b[l], c[l]);
+            });
         }
     }
 
-    /** Carry/borrow ALU family: writes the VGPR dst per lane and the
-     *  per-lane carry-out bit into VCC, exactly like executeValu
-     *  (new_vcc starts as the old VCC, active lanes overwrite their
-     *  bit, inactive lanes keep theirs; ADDC/SUBB read their carry-in
-     *  from the pre-instruction VCC, which the reference never updates
-     *  mid-loop). */
-    enum class CarryOp { Add, Addc, Sub, Subb };
-
-    template <CarryOp OP>
-    static void
-    carryH(const Meta &m, Wf &wf)
+    /** twinH<OP> for a twin whose every type is 32-bit, else nullptr. */
+    template <size_t... Ops>
+    static constexpr auto
+    twinTable(std::index_sequence<Ops...>)
     {
-        const Gcn3Inst &I = inst(m);
-        wf.nextPc = wf.pc + m.size;
-        const uint64_t exec = wf.exec;
-        const uint64_t vcc = wf.vcc;
-
-        uint32_t *d = wf.vregs[I.dst.reg].data();
-        const uint32_t *a = row32(I, wf, 0, t_row[0]);
-        const uint32_t *b = row32(I, wf, 1, t_row[1]);
-
-        uint64_t new_vcc = vcc;
-        for (uint64_t rest = exec; rest; rest &= rest - 1) {
-            unsigned l = unsigned(std::countr_zero(rest));
-            uint64_t bit = 1ull << l;
-            uint32_t r;
-            bool cout;
-            if constexpr (OP == CarryOp::Add) {
-                uint64_t s = uint64_t(a[l]) + b[l];
-                r = uint32_t(s);
-                cout = (s >> 32) != 0;
-            } else if constexpr (OP == CarryOp::Addc) {
-                uint64_t s =
-                    uint64_t(a[l]) + b[l] + ((vcc & bit) ? 1 : 0);
-                r = uint32_t(s);
-                cout = (s >> 32) != 0;
-            } else if constexpr (OP == CarryOp::Sub) {
-                cout = b[l] > a[l];
-                r = a[l] - b[l];
-            } else { // Subb
-                uint32_t borrow_in = (vcc & bit) ? 1 : 0;
-                uint64_t rhs = uint64_t(b[l]) + borrow_in;
-                cout = rhs > a[l];
-                r = uint32_t(a[l] - rhs);
-            }
-            d[l] = r;
-            new_vcc = cout ? (new_vcc | bit) : (new_vcc & ~bit);
-        }
-        wf.vcc = new_vcc;
-    }
-
-    /** 32-bit V_CMP over resolved rows; wf.vcc gets the result mask
-     *  (inactive lanes zero), exactly like executeVcmp. */
-    template <Gcn3Op OP>
-    static void
-    vcmpH(const Meta &m, Wf &wf)
-    {
-        const Gcn3Inst &I = inst(m);
-        wf.nextPc = wf.pc + m.size;
-        const uint64_t exec = wf.exec;
-        const uint32_t *a = row32(I, wf, 0, t_row[0]);
-        const uint32_t *b = row32(I, wf, 1, t_row[1]);
-
-        uint64_t result = 0;
-        if (exec == ~0ull) {
-            for (unsigned l = 0; l < WavefrontSize; ++l)
-                result |= uint64_t(laneCmp<OP>(a[l], b[l])) << l;
-        } else {
-            for (uint64_t rest = exec; rest; rest &= rest - 1) {
-                unsigned l = unsigned(std::countr_zero(rest));
-                result |= uint64_t(laneCmp<OP>(a[l], b[l])) << l;
-            }
-        }
-        wf.vcc = result;
-    }
-
-    static arch::ExecHandler
-    pickValu(const Gcn3Inst &I)
-    {
-        if (I.dst.kind != Dst::Kind::Vgpr)
-            return nullptr;
-        switch (I.opc) {
-          case Gcn3Op::V_MOV_B32: return &valuH<Gcn3Op::V_MOV_B32>;
-          case Gcn3Op::V_NOT_B32: return &valuH<Gcn3Op::V_NOT_B32>;
-          case Gcn3Op::V_RCP_F32: return &valuH<Gcn3Op::V_RCP_F32>;
-          case Gcn3Op::V_SQRT_F32: return &valuH<Gcn3Op::V_SQRT_F32>;
-          case Gcn3Op::V_CVT_F32_U32:
-            return &valuH<Gcn3Op::V_CVT_F32_U32>;
-          case Gcn3Op::V_CVT_F32_I32:
-            return &valuH<Gcn3Op::V_CVT_F32_I32>;
-          case Gcn3Op::V_CVT_U32_F32:
-            return &valuH<Gcn3Op::V_CVT_U32_F32>;
-          case Gcn3Op::V_CVT_I32_F32:
-            return &valuH<Gcn3Op::V_CVT_I32_F32>;
-          case Gcn3Op::V_MUL_LO_U32: return &valuH<Gcn3Op::V_MUL_LO_U32>;
-          case Gcn3Op::V_MUL_HI_U32: return &valuH<Gcn3Op::V_MUL_HI_U32>;
-          case Gcn3Op::V_ADD_F32: return &valuH<Gcn3Op::V_ADD_F32>;
-          case Gcn3Op::V_SUB_F32: return &valuH<Gcn3Op::V_SUB_F32>;
-          case Gcn3Op::V_MUL_F32: return &valuH<Gcn3Op::V_MUL_F32>;
-          case Gcn3Op::V_MAC_F32: return &valuH<Gcn3Op::V_MAC_F32>;
-          case Gcn3Op::V_MIN_F32: return &valuH<Gcn3Op::V_MIN_F32>;
-          case Gcn3Op::V_MAX_F32: return &valuH<Gcn3Op::V_MAX_F32>;
-          case Gcn3Op::V_MIN_U32: return &valuH<Gcn3Op::V_MIN_U32>;
-          case Gcn3Op::V_MAX_U32: return &valuH<Gcn3Op::V_MAX_U32>;
-          case Gcn3Op::V_MIN_I32: return &valuH<Gcn3Op::V_MIN_I32>;
-          case Gcn3Op::V_MAX_I32: return &valuH<Gcn3Op::V_MAX_I32>;
-          case Gcn3Op::V_AND_B32: return &valuH<Gcn3Op::V_AND_B32>;
-          case Gcn3Op::V_OR_B32: return &valuH<Gcn3Op::V_OR_B32>;
-          case Gcn3Op::V_XOR_B32: return &valuH<Gcn3Op::V_XOR_B32>;
-          case Gcn3Op::V_LSHLREV_B32:
-            return &valuH<Gcn3Op::V_LSHLREV_B32>;
-          case Gcn3Op::V_LSHRREV_B32:
-            return &valuH<Gcn3Op::V_LSHRREV_B32>;
-          case Gcn3Op::V_ASHRREV_I32:
-            return &valuH<Gcn3Op::V_ASHRREV_I32>;
-          case Gcn3Op::V_CNDMASK_B32:
-            return &valuH<Gcn3Op::V_CNDMASK_B32>;
-          case Gcn3Op::V_MAD_F32: return &valuH<Gcn3Op::V_MAD_F32>;
-          case Gcn3Op::V_FMA_F32: return &valuH<Gcn3Op::V_FMA_F32>;
-          case Gcn3Op::V_MAD_U32_U24:
-            return &valuH<Gcn3Op::V_MAD_U32_U24>;
-          case Gcn3Op::V_BFE_U32: return &valuH<Gcn3Op::V_BFE_U32>;
-          case Gcn3Op::V_DIV_FMAS_F32:
-            return &valuH<Gcn3Op::V_DIV_FMAS_F32>;
-          case Gcn3Op::V_DIV_FIXUP_F32:
-            return &valuH<Gcn3Op::V_DIV_FIXUP_F32>;
-          case Gcn3Op::V_ADD_U32: return &carryH<CarryOp::Add>;
-          case Gcn3Op::V_ADDC_U32: return &carryH<CarryOp::Addc>;
-          case Gcn3Op::V_SUB_U32: return &carryH<CarryOp::Sub>;
-          case Gcn3Op::V_SUBB_U32: return &carryH<CarryOp::Subb>;
-          default:
-            // V_DIV_SCALE writes VCC as a predicate, F64 ops handle
-            // register pairs: reference executor.
-            return nullptr;
-        }
-    }
-
-    static arch::ExecHandler
-    pickVcmp(Gcn3Op op)
-    {
-        switch (op) {
-          case Gcn3Op::V_CMP_EQ_U32: return &vcmpH<Gcn3Op::V_CMP_EQ_U32>;
-          case Gcn3Op::V_CMP_NE_U32: return &vcmpH<Gcn3Op::V_CMP_NE_U32>;
-          case Gcn3Op::V_CMP_LT_U32: return &vcmpH<Gcn3Op::V_CMP_LT_U32>;
-          case Gcn3Op::V_CMP_LE_U32: return &vcmpH<Gcn3Op::V_CMP_LE_U32>;
-          case Gcn3Op::V_CMP_GT_U32: return &vcmpH<Gcn3Op::V_CMP_GT_U32>;
-          case Gcn3Op::V_CMP_GE_U32: return &vcmpH<Gcn3Op::V_CMP_GE_U32>;
-          case Gcn3Op::V_CMP_EQ_I32: return &vcmpH<Gcn3Op::V_CMP_EQ_I32>;
-          case Gcn3Op::V_CMP_NE_I32: return &vcmpH<Gcn3Op::V_CMP_NE_I32>;
-          case Gcn3Op::V_CMP_LT_I32: return &vcmpH<Gcn3Op::V_CMP_LT_I32>;
-          case Gcn3Op::V_CMP_LE_I32: return &vcmpH<Gcn3Op::V_CMP_LE_I32>;
-          case Gcn3Op::V_CMP_GT_I32: return &vcmpH<Gcn3Op::V_CMP_GT_I32>;
-          case Gcn3Op::V_CMP_GE_I32: return &vcmpH<Gcn3Op::V_CMP_GE_I32>;
-          case Gcn3Op::V_CMP_EQ_F32: return &vcmpH<Gcn3Op::V_CMP_EQ_F32>;
-          case Gcn3Op::V_CMP_NE_F32: return &vcmpH<Gcn3Op::V_CMP_NE_F32>;
-          case Gcn3Op::V_CMP_LT_F32: return &vcmpH<Gcn3Op::V_CMP_LT_F32>;
-          case Gcn3Op::V_CMP_LE_F32: return &vcmpH<Gcn3Op::V_CMP_LE_F32>;
-          case Gcn3Op::V_CMP_GT_F32: return &vcmpH<Gcn3Op::V_CMP_GT_F32>;
-          case Gcn3Op::V_CMP_GE_F32: return &vcmpH<Gcn3Op::V_CMP_GE_F32>;
-          default:
-            return nullptr; // F64 compares: reference executor
-        }
+        auto one = []<Gcn3Op OP>() -> arch::ExecHandler {
+            constexpr IlTwin T = ilTwin(OP);
+            if constexpr (T.valid() && hsail::typeRegs(T.type) == 1 &&
+                          hsail::typeRegs(T.srcType) == 1)
+                return &twinH<OP>;
+            else
+                return nullptr;
+        };
+        return std::array<arch::ExecHandler, sizeof...(Ops)>{
+            one.template operator()<Gcn3Op(Ops)>()...};
     }
 
     static arch::ExecHandler
     pick(const Gcn3Inst &I)
     {
+        static constexpr auto twins = twinTable(
+            std::make_index_sequence<size_t(Gcn3Op::NumOpcodes)>());
         switch (I.format()) {
           case Format::SOP1:
           case Format::SOP2:
           case Format::SOPC:
           case Format::SOPK:
-            return &saluH;
+            return &arch::refH<Gcn3Inst, &Gcn3Inst::executeSalu>;
           case Format::SOPP:
-            return &soppH;
+            return &arch::refH<Gcn3Inst, &Gcn3Inst::executeSopp>;
           case Format::SMEM:
-            return &smemH;
+            return &arch::refH<Gcn3Inst, &Gcn3Inst::executeSmem>;
           case Format::VOPC:
-            if (auto h = pickVcmp(I.opc))
-                return h;
-            return &vcmpGenericH;
           case Format::VOP1:
           case Format::VOP2:
           case Format::VOP3:
-            if (auto h = pickValu(I))
+            if (!ilTwin(I.opc).valid())
+                return &arch::refH<Gcn3Inst, &Gcn3Inst::executeOwnValu>;
+            if (arch::ExecHandler h = twins[size_t(I.opc)])
                 return h;
-            return &valuGenericH;
+            // The 64-bit twins.
+            return &arch::refH<Gcn3Inst, &Gcn3Inst::executeValu>;
           case Format::FLAT:
-            return &flatH;
+            return &arch::refH<Gcn3Inst, &Gcn3Inst::executeFlat>;
           case Format::DS:
-            return &dsH;
+            return &arch::refH<Gcn3Inst, &Gcn3Inst::executeDs>;
         }
         return nullptr; // unreachable; buildMetas panics on null
     }
 };
+
+void
+Gcn3Inst::executeOwnValu(arch::WfState &wf) const
+{
+    const uint64_t exec = wf.exec;
+    const uint64_t vcc = wf.vcc;
+    uint32_t *d = wf.vregs[dst.reg].data();
+    auto row = [&](unsigned i) { return Gcn3Exec::row32(*this, wf, i, i); };
+
+    switch (opc) {
+      case Gcn3Op::V_RCP_F32: {
+        const uint32_t *a = row(0);
+        hsail::forLanes(exec, d, [=](unsigned l) {
+            return hsail::fromF32(1.0f / hsail::asF32(a[l]));
+        });
+        return;
+      }
+      case Gcn3Op::V_CNDMASK_B32: {
+        const uint32_t *a = row(0), *b = row(1);
+        hsail::forLanes(exec, d, [=](unsigned l) {
+            return ((vcc >> l) & 1) ? b[l] : a[l];
+        });
+        return;
+      }
+      case Gcn3Op::V_MAD_U32_U24: {
+        const uint32_t *a = row(0), *b = row(1), *c = row(2);
+        hsail::forLanes(exec, d, [=](unsigned l) {
+            return (a[l] & 0xffffff) * (b[l] & 0xffffff) + c[l];
+        });
+        return;
+      }
+      case Gcn3Op::V_ADD_U32:
+      case Gcn3Op::V_ADDC_U32:
+      case Gcn3Op::V_SUB_U32:
+      case Gcn3Op::V_SUBB_U32: {
+        // Each active lane writes its carry-out (borrow-out) bit into
+        // VCC; inactive lanes keep theirs. ADDC/SUBB read the carry-in
+        // from the VCC before the instruction.
+        const uint32_t *a = row(0), *b = row(1);
+        const bool sub =
+            opc == Gcn3Op::V_SUB_U32 || opc == Gcn3Op::V_SUBB_U32;
+        const uint64_t cin_mask =
+            (opc == Gcn3Op::V_ADDC_U32 || opc == Gcn3Op::V_SUBB_U32) ? vcc
+                                                                    : 0;
+        uint64_t new_vcc = vcc;
+        for (uint64_t rest = exec; rest; rest &= rest - 1) {
+            const unsigned l = unsigned(std::countr_zero(rest));
+            const uint64_t bit = 1ull << l;
+            const uint64_t cin = (cin_mask >> l) & 1;
+            // Read both sources before the store: d may be a's or b's
+            // row (v_sub_u32 v0, vcc, v0, v1). Both widen to 64 bits:
+            // a carry sets bit 32, a borrow makes the difference wrap.
+            const uint64_t x = a[l], y = b[l] + cin;
+            const uint64_t r = sub ? x - y : x + y;
+            const bool cout = sub ? y > x : (r >> 32) != 0;
+            d[l] = uint32_t(r);
+            new_vcc = cout ? (new_vcc | bit) : (new_vcc & ~bit);
+        }
+        wf.vcc = new_vcc;
+        return;
+      }
+      case Gcn3Op::V_DIV_SCALE_F32:
+      case Gcn3Op::V_DIV_SCALE_F64:
+        // Scaling pass-through: the fixup step produces the exact
+        // quotient, so no scaling is required in this model, and no
+        // lane needs the predicate.
+        for (uint64_t rest = exec; rest; rest &= rest - 1) {
+            const unsigned l = unsigned(std::countr_zero(rest));
+            if (opc == Gcn3Op::V_DIV_SCALE_F64)
+                wf.writeVreg64(dst.reg, l, readSrc64(wf, 0, l));
+            else
+                d[l] = readSrc32(wf, 0, l);
+        }
+        wf.vcc = vcc & ~exec;
+        return;
+      case Gcn3Op::V_RCP_F64:
+        for (uint64_t rest = exec; rest; rest &= rest - 1) {
+            const unsigned l = unsigned(std::countr_zero(rest));
+            wf.writeVreg64(dst.reg, l,
+                           hsail::fromF64(
+                               1.0 / hsail::asF64(readSrc64(wf, 0, l))));
+        }
+        return;
+      default:
+        panic("unhandled VALU op %s", opName(opc));
+    }
+}
 
 void
 Gcn3Inst::predecode(arch::ExecMeta &m) const

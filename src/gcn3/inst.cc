@@ -3,22 +3,18 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
-#include <cmath>
 #include <sstream>
 
 #include "arch/kernel_code.hh"
+#include "arch/lane_mem.hh"
 #include "common/logging.hh"
+#include "hsail/lane_ops.hh"
 
 namespace last::gcn3
 {
 
 namespace
 {
-
-float asF32(uint32_t b) { return std::bit_cast<float>(b); }
-uint32_t fromF32(float f) { return std::bit_cast<uint32_t>(f); }
-double asF64(uint64_t b) { return std::bit_cast<double>(b); }
-uint64_t fromF64(double d) { return std::bit_cast<uint64_t>(d); }
 
 struct OpInfo
 {
@@ -662,319 +658,87 @@ Gcn3Inst::executeSalu(arch::WfState &wf) const
 }
 
 void
-Gcn3Inst::executeVcmp(arch::WfState &wf) const
-{
-    uint64_t result = 0;
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-        if (!(wf.exec & (1ull << lane)))
-            continue;
-        bool r = false;
-        auto cmpi = [&](auto x, auto y) {
-            switch (opc) {
-              case Gcn3Op::V_CMP_EQ_U32: case Gcn3Op::V_CMP_EQ_I32:
-              case Gcn3Op::V_CMP_EQ_F32: case Gcn3Op::V_CMP_EQ_F64:
-                return x == y;
-              case Gcn3Op::V_CMP_NE_U32: case Gcn3Op::V_CMP_NE_I32:
-              case Gcn3Op::V_CMP_NE_F32: case Gcn3Op::V_CMP_NE_F64:
-                return x != y;
-              case Gcn3Op::V_CMP_LT_U32: case Gcn3Op::V_CMP_LT_I32:
-              case Gcn3Op::V_CMP_LT_F32: case Gcn3Op::V_CMP_LT_F64:
-                return x < y;
-              case Gcn3Op::V_CMP_LE_U32: case Gcn3Op::V_CMP_LE_I32:
-              case Gcn3Op::V_CMP_LE_F32: case Gcn3Op::V_CMP_LE_F64:
-                return x <= y;
-              case Gcn3Op::V_CMP_GT_U32: case Gcn3Op::V_CMP_GT_I32:
-              case Gcn3Op::V_CMP_GT_F32: case Gcn3Op::V_CMP_GT_F64:
-                return x > y;
-              case Gcn3Op::V_CMP_GE_U32: case Gcn3Op::V_CMP_GE_I32:
-              case Gcn3Op::V_CMP_GE_F32: case Gcn3Op::V_CMP_GE_F64:
-                return x >= y;
-              default:
-                return false;
-            }
-        };
-        switch (opc) {
-          case Gcn3Op::V_CMP_EQ_F32: case Gcn3Op::V_CMP_NE_F32:
-          case Gcn3Op::V_CMP_LT_F32: case Gcn3Op::V_CMP_LE_F32:
-          case Gcn3Op::V_CMP_GT_F32: case Gcn3Op::V_CMP_GE_F32:
-            r = cmpi(asF32(readSrc32(wf, 0, lane)),
-                     asF32(readSrc32(wf, 1, lane)));
-            break;
-          case Gcn3Op::V_CMP_EQ_F64: case Gcn3Op::V_CMP_NE_F64:
-          case Gcn3Op::V_CMP_LT_F64: case Gcn3Op::V_CMP_LE_F64:
-          case Gcn3Op::V_CMP_GT_F64: case Gcn3Op::V_CMP_GE_F64:
-            r = cmpi(asF64(readSrc64(wf, 0, lane)),
-                     asF64(readSrc64(wf, 1, lane)));
-            break;
-          case Gcn3Op::V_CMP_EQ_I32: case Gcn3Op::V_CMP_NE_I32:
-          case Gcn3Op::V_CMP_LT_I32: case Gcn3Op::V_CMP_LE_I32:
-          case Gcn3Op::V_CMP_GT_I32: case Gcn3Op::V_CMP_GE_I32:
-            r = cmpi(int32_t(readSrc32(wf, 0, lane)),
-                     int32_t(readSrc32(wf, 1, lane)));
-            break;
-          default:
-            r = cmpi(readSrc32(wf, 0, lane), readSrc32(wf, 1, lane));
-            break;
-        }
-        if (r)
-            result |= 1ull << lane;
-    }
-    wf.vcc = result;
-}
-
-void
 Gcn3Inst::executeValu(arch::WfState &wf) const
 {
-    uint64_t new_vcc = wf.vcc;
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-        uint64_t bit = 1ull << lane;
-        if (!(wf.exec & bit))
-            continue;
-        uint32_t a = readSrc32(wf, 0, lane);
-        uint32_t b = readSrc32(wf, 1, lane);
-        uint32_t c = readSrc32(wf, 2, lane);
-        auto a64 = [&] { return readSrc64(wf, 0, lane); };
-        auto b64 = [&] { return readSrc64(wf, 1, lane); };
-        auto c64 = [&] { return readSrc64(wf, 2, lane); };
-        auto wr = [&](uint32_t v) { wf.writeVreg(dst.reg, lane, v); };
-        auto wr64v = [&](uint64_t v) { wf.writeVreg64(dst.reg, lane, v); };
-
-        switch (opc) {
-          case Gcn3Op::V_MOV_B32: wr(a); break;
-          case Gcn3Op::V_NOT_B32: wr(~a); break;
-          case Gcn3Op::V_RCP_F32: wr(fromF32(1.0f / asF32(a))); break;
-          case Gcn3Op::V_RCP_F64: wr64v(fromF64(1.0 / asF64(a64()))); break;
-          case Gcn3Op::V_SQRT_F32:
-            wr(fromF32(std::sqrt(asF32(a))));
-            break;
-          case Gcn3Op::V_SQRT_F64:
-            wr64v(fromF64(std::sqrt(asF64(a64()))));
-            break;
-          case Gcn3Op::V_CVT_F32_U32: wr(fromF32(float(a))); break;
-          case Gcn3Op::V_CVT_F32_I32:
-            wr(fromF32(float(int32_t(a))));
-            break;
-          case Gcn3Op::V_CVT_U32_F32:
-            wr(uint32_t(asF32(a)));
-            break;
-          case Gcn3Op::V_CVT_I32_F32:
-            wr(uint32_t(int32_t(asF32(a))));
-            break;
-          case Gcn3Op::V_CVT_F64_F32:
-            wr64v(fromF64(double(asF32(a))));
-            break;
-          case Gcn3Op::V_CVT_F32_F64:
-            wr(fromF32(float(asF64(a64()))));
-            break;
-          case Gcn3Op::V_CVT_F64_U32: wr64v(fromF64(double(a))); break;
-          case Gcn3Op::V_CVT_U32_F64:
-            wr(uint32_t(asF64(a64())));
-            break;
-          case Gcn3Op::V_ADD_U32: {
-            uint64_t r = uint64_t(a) + b;
-            wr(uint32_t(r));
-            new_vcc = (r >> 32) ? (new_vcc | bit) : (new_vcc & ~bit);
-            break;
-          }
-          case Gcn3Op::V_ADDC_U32: {
-            uint64_t r = uint64_t(a) + b + ((wf.vcc & bit) ? 1 : 0);
-            wr(uint32_t(r));
-            new_vcc = (r >> 32) ? (new_vcc | bit) : (new_vcc & ~bit);
-            break;
-          }
-          case Gcn3Op::V_SUB_U32: {
-            new_vcc = (b > a) ? (new_vcc | bit) : (new_vcc & ~bit);
-            wr(a - b);
-            break;
-          }
-          case Gcn3Op::V_SUBB_U32: {
-            uint32_t borrow_in = (wf.vcc & bit) ? 1 : 0;
-            uint64_t rhs = uint64_t(b) + borrow_in;
-            new_vcc = (rhs > a) ? (new_vcc | bit) : (new_vcc & ~bit);
-            wr(uint32_t(a - rhs));
-            break;
-          }
-          case Gcn3Op::V_MUL_LO_U32: wr(a * b); break;
-          case Gcn3Op::V_MUL_HI_U32:
-            wr(uint32_t((uint64_t(a) * b) >> 32));
-            break;
-          case Gcn3Op::V_ADD_F32: wr(fromF32(asF32(a) + asF32(b))); break;
-          case Gcn3Op::V_SUB_F32: wr(fromF32(asF32(a) - asF32(b))); break;
-          case Gcn3Op::V_MUL_F32: wr(fromF32(asF32(a) * asF32(b))); break;
-          case Gcn3Op::V_MAC_F32:
-            wr(fromF32(asF32(a) * asF32(b) +
-                       asF32(wf.readVreg(dst.reg, lane))));
-            break;
-          case Gcn3Op::V_MIN_F32:
-            wr(fromF32(std::fmin(asF32(a), asF32(b))));
-            break;
-          case Gcn3Op::V_MAX_F32:
-            wr(fromF32(std::fmax(asF32(a), asF32(b))));
-            break;
-          case Gcn3Op::V_MIN_U32: wr(std::min(a, b)); break;
-          case Gcn3Op::V_MAX_U32: wr(std::max(a, b)); break;
-          case Gcn3Op::V_MIN_I32:
-            wr(uint32_t(std::min(int32_t(a), int32_t(b))));
-            break;
-          case Gcn3Op::V_MAX_I32:
-            wr(uint32_t(std::max(int32_t(a), int32_t(b))));
-            break;
-          case Gcn3Op::V_AND_B32: wr(a & b); break;
-          case Gcn3Op::V_OR_B32: wr(a | b); break;
-          case Gcn3Op::V_XOR_B32: wr(a ^ b); break;
-          case Gcn3Op::V_LSHLREV_B32: wr(b << (a & 31)); break;
-          case Gcn3Op::V_LSHRREV_B32: wr(b >> (a & 31)); break;
-          case Gcn3Op::V_ASHRREV_I32:
-            wr(uint32_t(int32_t(b) >> (a & 31)));
-            break;
-          case Gcn3Op::V_CNDMASK_B32:
-            wr((wf.vcc & bit) ? b : a);
-            break;
-          case Gcn3Op::V_MAD_F32:
-            wr(fromF32(asF32(a) * asF32(b) + asF32(c)));
-            break;
-          case Gcn3Op::V_FMA_F32:
-            wr(fromF32(std::fma(asF32(a), asF32(b), asF32(c))));
-            break;
-          case Gcn3Op::V_MAD_U32_U24:
-            wr((a & 0xffffff) * (b & 0xffffff) + c);
-            break;
-          case Gcn3Op::V_BFE_U32: {
-            unsigned off = b & 31;
-            unsigned width = c & 31;
-            uint32_t mask = width == 0 ? 0xffffffffu : ((1u << width) - 1);
-            wr((a >> off) & mask);
-            break;
-          }
-          case Gcn3Op::V_ADD_F64:
-            wr64v(fromF64(asF64(a64()) + asF64(b64())));
-            break;
-          case Gcn3Op::V_MUL_F64:
-            wr64v(fromF64(asF64(a64()) * asF64(b64())));
-            break;
-          case Gcn3Op::V_FMA_F64:
-            wr64v(fromF64(std::fma(asF64(a64()), asF64(b64()), asF64(c64()))));
-            break;
-          case Gcn3Op::V_MIN_F64:
-            wr64v(fromF64(std::fmin(asF64(a64()), asF64(b64()))));
-            break;
-          case Gcn3Op::V_MAX_F64:
-            wr64v(fromF64(std::fmax(asF64(a64()), asF64(b64()))));
-            break;
-          case Gcn3Op::V_DIV_SCALE_F32:
-            // Scaling pass-through: the fixup step produces the exact
-            // quotient, so no scaling is required in this model.
-            wr(a);
-            new_vcc &= ~bit;
-            break;
-          case Gcn3Op::V_DIV_SCALE_F64:
-            wr64v(a64());
-            new_vcc &= ~bit;
-            break;
-          case Gcn3Op::V_DIV_FMAS_F32:
-            wr(fromF32(std::fma(asF32(a), asF32(b), asF32(c))));
-            break;
-          case Gcn3Op::V_DIV_FMAS_F64:
-            wr64v(fromF64(std::fma(asF64(a64()), asF64(b64()), asF64(c64()))));
-            break;
-          case Gcn3Op::V_DIV_FIXUP_F32:
-            // dst = numerator(src2) / denominator(src1), correctly
-            // rounded; the hardware sequence guarantees this, so the
-            // model computes it exactly here.
-            wr(fromF32(asF32(c) / asF32(b)));
-            break;
-          case Gcn3Op::V_DIV_FIXUP_F64:
-            wr64v(fromF64(asF64(c64()) / asF64(b64())));
-            break;
-          default:
-            panic("unhandled VALU op %s", opName(opc));
-        }
+    using hsail::Opcode;
+    const IlTwin t = ilTwin(opc);
+    if (!t.valid()) {
+        executeOwnValu(wf);
+        return;
     }
-    wf.vcc = new_vcc;
+    // The IL's reference lane semantics on GCN3's resolved operands,
+    // read at the IL source type and zero-extended.
+    const bool wide = hsail::typeRegs(t.op == Opcode::Cvt ? t.srcType
+                                                          : t.type) == 2;
+    const bool wide_dst = hsail::typeRegs(t.type) == 2;
+    uint64_t vcc = 0;
+    for (uint64_t rest = wf.exec; rest; rest &= rest - 1) {
+        const unsigned lane = unsigned(std::countr_zero(rest));
+        uint64_t s[3] = {};
+        for (unsigned i = 0; i < hsail::aluArity(t.op); ++i) {
+            if (t.src[i] == IlTwin::DstRow)
+                s[i] = wide_dst ? wf.readVreg64(dst.reg, lane)
+                                : wf.readVreg(dst.reg, lane);
+            else
+                s[i] = wide ? readSrc64(wf, t.src[i], lane)
+                            : readSrc32(wf, t.src[i], lane);
+        }
+        if (t.op == Opcode::Cmp) {
+            if (hsail::laneCompare(t.cmp, t.type, s[0], s[1]))
+                vcc |= 1ull << lane;
+            continue;
+        }
+        const uint64_t r =
+            t.op == Opcode::Cvt
+                ? hsail::laneCvt(t.type, t.srcType, s[0])
+                : hsail::laneValue(t.op, t.type, t.cmp, s[0], s[1], s[2]);
+        if (wide_dst)
+            wf.writeVreg64(dst.reg, lane, r);
+        else
+            wf.writeVreg(dst.reg, lane, uint32_t(r));
+    }
+    if (t.op == Opcode::Cmp)
+        wf.vcc = vcc; // inactive lanes read 0
 }
 
 void
 Gcn3Inst::executeSmem(arch::WfState &wf) const
 {
-    Addr addr = wf.readSgpr64(srcs[0].reg) + simm;
-    unsigned dwords = dstWidth();
-    for (unsigned d = 0; d < dwords; ++d) {
-        uint32_t v = wf.memory->read<uint32_t>(addr + 4 * d);
-        wf.writeSgpr(dst.reg + d, v);
-    }
-    arch::MemAccess acc;
-    acc.kind = arch::MemAccess::Kind::ScalarLoad;
-    acc.scalarAddr = addr;
-    acc.scalarBytes = 4 * dwords;
-    wf.pendingAccess = acc;
+    // One read of every dword; they land in consecutive SGPRs.
+    const unsigned dwords = dstWidth();
+    uint32_t v[4] = {};
+    arch::uniformLoad(wf, arch::MemAccess::Kind::ScalarLoad,
+                      wf.readSgpr64(srcs[0].reg) + simm, 4 * dwords, v);
+    for (unsigned d = 0; d < dwords; ++d)
+        wf.writeSgpr(dst.reg + d, v[d]);
 }
 
 void
 Gcn3Inst::executeFlat(arch::WfState &wf) const
 {
-    arch::MemAccess acc;
-    bool is_store = is(arch::IsStore) && !is(arch::IsAtomic);
-    unsigned dwords =
+    const unsigned dwords =
         (opc == Gcn3Op::FLAT_LOAD_DWORDX2 ||
          opc == Gcn3Op::FLAT_STORE_DWORDX2) ? 2 : 1;
-    acc.kind = is_store ? arch::MemAccess::Kind::VectorStore
-                        : arch::MemAccess::Kind::VectorLoad;
-    acc.bytesPerLane = 4 * dwords;
-    acc.mask = wf.exec;
-
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-        if (!(wf.exec & (1ull << lane)))
-            continue;
-        Addr addr = wf.readVreg64(srcs[0].reg, lane);
-        acc.laneAddrs[lane] = addr;
-        if (opc == Gcn3Op::FLAT_ATOMIC_ADD) {
-            uint32_t old = wf.memory->read<uint32_t>(addr);
-            uint32_t add = wf.readVreg(srcs[1].reg, lane);
-            wf.memory->write<uint32_t>(addr, old + add);
-            if (dst.valid())
-                wf.writeVreg(dst.reg, lane, old);
-        } else if (is_store) {
-            for (unsigned d = 0; d < dwords; ++d)
-                wf.memory->write<uint32_t>(
-                    addr + 4 * d, wf.readVreg(srcs[1].reg + d, lane));
-        } else {
-            for (unsigned d = 0; d < dwords; ++d)
-                wf.writeVreg(dst.reg + d, lane,
-                             wf.memory->read<uint32_t>(addr + 4 * d));
-        }
-    }
-    wf.pendingAccess = acc;
+    arch::laneMemory(
+        wf,
+        {arch::LaneMem::opOf(*this), false, 4 * dwords, srcs[1].reg,
+         dst.valid() ? dst.reg : arch::LaneMem::NoReg},
+        [&](unsigned lane) { return wf.readVreg64(srcs[0].reg, lane); });
 }
 
 void
 Gcn3Inst::executeDs(arch::WfState &wf) const
 {
-    arch::MemAccess acc;
-    bool is_store = is(arch::IsStore);
-    unsigned dwords =
+    const unsigned dwords =
         (opc == Gcn3Op::DS_READ_B64 || opc == Gcn3Op::DS_WRITE_B64) ? 2
                                                                     : 1;
-    acc.kind = is_store ? arch::MemAccess::Kind::LdsStore
-                        : arch::MemAccess::Kind::LdsLoad;
-    acc.bytesPerLane = 4 * dwords;
-    acc.mask = wf.exec;
-
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-        if (!(wf.exec & (1ull << lane)))
-            continue;
-        Addr off = Addr(wf.readVreg(srcs[0].reg, lane)) + simm;
-        acc.laneAddrs[lane] = off;
-        if (is_store) {
-            for (unsigned d = 0; d < dwords; ++d)
-                wf.lds->write32(off + 4 * d,
-                                wf.readVreg(srcs[1].reg + d, lane));
-        } else {
-            for (unsigned d = 0; d < dwords; ++d)
-                wf.writeVreg(dst.reg + d, lane,
-                             wf.lds->read32(off + 4 * d));
-        }
-    }
-    wf.pendingAccess = acc;
+    arch::laneMemory(
+        wf,
+        {arch::LaneMem::opOf(*this), true, 4 * dwords, srcs[1].reg,
+         dst.reg},
+        [&](unsigned lane) {
+            return Addr(wf.readVreg(srcs[0].reg, lane)) + simm;
+        });
 }
 
 void
@@ -1036,8 +800,6 @@ Gcn3Inst::execute(arch::WfState &wf) const
         executeSmem(wf);
         return;
       case Format::VOPC:
-        executeVcmp(wf);
-        return;
       case Format::VOP1:
       case Format::VOP2:
       case Format::VOP3:

@@ -13,6 +13,7 @@
 #include "arch/instruction.hh"
 #include "arch/wf_state.hh"
 #include "gcn3/opcodes.hh"
+#include "hsail/opcodes.hh"
 
 namespace last::gcn3
 {
@@ -80,6 +81,126 @@ struct Src
     bool isLiteral() const { return kind == Kind::Literal; }
     bool valid() const { return kind != Kind::None; }
 };
+
+/**
+ * A VALU or VOPC opcode's twin in the IL lane library
+ * (hsail/lane_ops.hh): the IL op, its data type, and which GCN3
+ * operand feeds each IL source, so the lane semantics exist once for
+ * all three levels. GCN3's own operand resolution (VGPR, SGPR and
+ * constant rows, the VOP3 negate bit) happens before the IL op sees a
+ * value. Ops only GCN3 has (the carry family's VCC bits, V_CNDMASK_B32
+ * on VCC, V_MAD_U32_U24, V_DIV_SCALE_*, V_RCP_*) have no twin.
+ */
+struct IlTwin
+{
+    /** A src[] entry naming the destination row: V_MAC_F32 adds into
+     *  its destination. */
+    static constexpr uint8_t DstRow = 3;
+
+    hsail::Opcode op = hsail::Opcode::Nop; ///< Nop: no twin
+    hsail::DataType type = hsail::DataType::B32;
+    hsail::DataType srcType = hsail::DataType::B32; ///< cvt's source
+    hsail::CmpOp cmp = hsail::CmpOp::Eq;
+    uint8_t src[3] = {0, 1, 2}; ///< GCN3 operand of IL source i
+
+    constexpr bool valid() const { return op != hsail::Opcode::Nop; }
+};
+
+/** The mapping table: `op`'s IL twin, or none. */
+constexpr IlTwin
+ilTwin(Gcn3Op op)
+{
+    using hsail::CmpOp;
+    using hsail::DataType;
+    using hsail::Opcode;
+    constexpr DataType B32 = DataType::B32, U32 = DataType::U32,
+                       S32 = DataType::S32, F32 = DataType::F32,
+                       F64 = DataType::F64;
+    auto alu = [](Opcode o, DataType t, uint8_t s0 = 0, uint8_t s1 = 1,
+                  uint8_t s2 = 2) {
+        return IlTwin{o, t, t, CmpOp::Eq, {s0, s1, s2}};
+    };
+    auto cvt = [](DataType to, DataType from) {
+        return IlTwin{Opcode::Cvt, to, from, CmpOp::Eq, {0, 1, 2}};
+    };
+    auto cmp = [](CmpOp c, DataType t) {
+        return IlTwin{Opcode::Cmp, t, t, c, {0, 1, 2}};
+    };
+    switch (op) {
+      case Gcn3Op::V_MOV_B32: return alu(Opcode::Mov, B32);
+      case Gcn3Op::V_NOT_B32: return alu(Opcode::Not, B32);
+      case Gcn3Op::V_SQRT_F32: return alu(Opcode::Sqrt, F32);
+      case Gcn3Op::V_SQRT_F64: return alu(Opcode::Sqrt, F64);
+      case Gcn3Op::V_CVT_F32_U32: return cvt(F32, U32);
+      case Gcn3Op::V_CVT_F32_I32: return cvt(F32, S32);
+      case Gcn3Op::V_CVT_U32_F32: return cvt(U32, F32);
+      case Gcn3Op::V_CVT_I32_F32: return cvt(S32, F32);
+      case Gcn3Op::V_CVT_F64_F32: return cvt(F64, F32);
+      case Gcn3Op::V_CVT_F32_F64: return cvt(F32, F64);
+      case Gcn3Op::V_CVT_F64_U32: return cvt(F64, U32);
+      case Gcn3Op::V_CVT_U32_F64: return cvt(U32, F64);
+      case Gcn3Op::V_MUL_LO_U32: return alu(Opcode::Mul, U32);
+      case Gcn3Op::V_MUL_HI_U32: return alu(Opcode::MulHi, U32);
+      case Gcn3Op::V_ADD_F32: return alu(Opcode::Add, F32);
+      case Gcn3Op::V_SUB_F32: return alu(Opcode::Sub, F32);
+      case Gcn3Op::V_MUL_F32: return alu(Opcode::Mul, F32);
+      case Gcn3Op::V_MAC_F32:
+        return alu(Opcode::Mad, F32, 0, 1, IlTwin::DstRow);
+      case Gcn3Op::V_MIN_F32: return alu(Opcode::Min, F32);
+      case Gcn3Op::V_MAX_F32: return alu(Opcode::Max, F32);
+      case Gcn3Op::V_MIN_U32: return alu(Opcode::Min, U32);
+      case Gcn3Op::V_MAX_U32: return alu(Opcode::Max, U32);
+      case Gcn3Op::V_MIN_I32: return alu(Opcode::Min, S32);
+      case Gcn3Op::V_MAX_I32: return alu(Opcode::Max, S32);
+      case Gcn3Op::V_AND_B32: return alu(Opcode::And, B32);
+      case Gcn3Op::V_OR_B32: return alu(Opcode::Or, B32);
+      case Gcn3Op::V_XOR_B32: return alu(Opcode::Xor, B32);
+      // The *REV shifts take the shift count first.
+      case Gcn3Op::V_LSHLREV_B32: return alu(Opcode::Shl, B32, 1, 0);
+      case Gcn3Op::V_LSHRREV_B32: return alu(Opcode::Shr, B32, 1, 0);
+      case Gcn3Op::V_ASHRREV_I32: return alu(Opcode::AShr, S32, 1, 0);
+      case Gcn3Op::V_MAD_F32: return alu(Opcode::Mad, F32);
+      case Gcn3Op::V_FMA_F32: return alu(Opcode::Fma, F32);
+      case Gcn3Op::V_BFE_U32: return alu(Opcode::Bfe, U32);
+      case Gcn3Op::V_ADD_F64: return alu(Opcode::Add, F64);
+      case Gcn3Op::V_MUL_F64: return alu(Opcode::Mul, F64);
+      case Gcn3Op::V_FMA_F64: return alu(Opcode::Fma, F64);
+      case Gcn3Op::V_MIN_F64: return alu(Opcode::Min, F64);
+      case Gcn3Op::V_MAX_F64: return alu(Opcode::Max, F64);
+      case Gcn3Op::V_DIV_FMAS_F32: return alu(Opcode::Fma, F32);
+      case Gcn3Op::V_DIV_FMAS_F64: return alu(Opcode::Fma, F64);
+      // dst = numerator (src2) / denominator (src1), correctly rounded:
+      // the hardware sequence guarantees it, so the model computes it.
+      case Gcn3Op::V_DIV_FIXUP_F32: return alu(Opcode::Div, F32, 2, 1);
+      case Gcn3Op::V_DIV_FIXUP_F64: return alu(Opcode::Div, F64, 2, 1);
+      case Gcn3Op::V_CMP_EQ_U32: return cmp(CmpOp::Eq, U32);
+      case Gcn3Op::V_CMP_NE_U32: return cmp(CmpOp::Ne, U32);
+      case Gcn3Op::V_CMP_LT_U32: return cmp(CmpOp::Lt, U32);
+      case Gcn3Op::V_CMP_LE_U32: return cmp(CmpOp::Le, U32);
+      case Gcn3Op::V_CMP_GT_U32: return cmp(CmpOp::Gt, U32);
+      case Gcn3Op::V_CMP_GE_U32: return cmp(CmpOp::Ge, U32);
+      case Gcn3Op::V_CMP_EQ_I32: return cmp(CmpOp::Eq, S32);
+      case Gcn3Op::V_CMP_NE_I32: return cmp(CmpOp::Ne, S32);
+      case Gcn3Op::V_CMP_LT_I32: return cmp(CmpOp::Lt, S32);
+      case Gcn3Op::V_CMP_LE_I32: return cmp(CmpOp::Le, S32);
+      case Gcn3Op::V_CMP_GT_I32: return cmp(CmpOp::Gt, S32);
+      case Gcn3Op::V_CMP_GE_I32: return cmp(CmpOp::Ge, S32);
+      case Gcn3Op::V_CMP_EQ_F32: return cmp(CmpOp::Eq, F32);
+      case Gcn3Op::V_CMP_NE_F32: return cmp(CmpOp::Ne, F32);
+      case Gcn3Op::V_CMP_LT_F32: return cmp(CmpOp::Lt, F32);
+      case Gcn3Op::V_CMP_LE_F32: return cmp(CmpOp::Le, F32);
+      case Gcn3Op::V_CMP_GT_F32: return cmp(CmpOp::Gt, F32);
+      case Gcn3Op::V_CMP_GE_F32: return cmp(CmpOp::Ge, F32);
+      case Gcn3Op::V_CMP_EQ_F64: return cmp(CmpOp::Eq, F64);
+      case Gcn3Op::V_CMP_NE_F64: return cmp(CmpOp::Ne, F64);
+      case Gcn3Op::V_CMP_LT_F64: return cmp(CmpOp::Lt, F64);
+      case Gcn3Op::V_CMP_LE_F64: return cmp(CmpOp::Le, F64);
+      case Gcn3Op::V_CMP_GT_F64: return cmp(CmpOp::Gt, F64);
+      case Gcn3Op::V_CMP_GE_F64: return cmp(CmpOp::Ge, F64);
+      default:
+        return {};
+    }
+}
 
 /** Destination operand. */
 struct Dst
@@ -150,7 +271,7 @@ class Gcn3Inst : public arch::Instruction
 
   private:
     /** The direct-threaded handlers (exec.cc) read operand fields and
-     *  reuse the private executors non-virtually on cold paths. */
+     *  call the private executors non-virtually. */
     friend struct Gcn3Exec;
 
     explicit Gcn3Inst(Gcn3Op op);
@@ -166,8 +287,12 @@ class Gcn3Inst : public arch::Instruction
                        unsigned lane) const;
 
     void executeSalu(arch::WfState &wf) const;
+    /** VALU and VOPC: an op with an IL twin through the IL's reference
+     *  lane semantics, the rest through executeOwnValu(). */
     void executeValu(arch::WfState &wf) const;
-    void executeVcmp(arch::WfState &wf) const;
+    /** The VALU ops only GCN3 has; both engines run this one
+     *  implementation (src/gcn3/exec.cc). */
+    void executeOwnValu(arch::WfState &wf) const;
     void executeSmem(arch::WfState &wf) const;
     void executeFlat(arch::WfState &wf) const;
     void executeDs(arch::WfState &wf) const;

@@ -1,5 +1,6 @@
 #include "hsail/inst.hh"
 
+#include <bit>
 #include <sstream>
 
 #include "arch/kernel_code.hh"
@@ -383,122 +384,9 @@ HsailInst::executeAlu(arch::WfState &wf) const
 void
 HsailInst::executeMem(arch::WfState &wf) const
 {
-    using arch::MemAccess;
-    uint64_t mask = wf.activeMask();
-    unsigned bytes = typeBytes(dtype);
-    MemAccess acc;
-    acc.bytesPerLane = bytes;
-    acc.mask = mask;
-
-    if (seg == Segment::Kernarg || seg == Segment::Arg) {
-        // The IL has no ABI: the simulator supplies the kernarg base
-        // itself and services the access from functional state.
-        Addr addr = wf.kernargBase + uint64_t(imm);
-        uint64_t val = 0;
-        wf.memory->read(addr, &val, bytes);
-        for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-            if (!(mask & (1ull << lane)))
-                continue;
-            if (bytes == 8)
-                wf.writeVreg64(dstReg.idx, lane, val);
-            else
-                wf.writeVreg(dstReg.idx, lane, uint32_t(val));
-        }
-        acc.kind = MemAccess::Kind::KernargDirect;
-        acc.scalarAddr = addr;
-        acc.scalarBytes = bytes;
-        wf.pendingAccess = acc;
-        return;
-    }
-
-    if (seg == Segment::Group) {
-        // LDS: zero-based offsets within the workgroup's block.
-        acc.kind = (opc == Opcode::St) ? MemAccess::Kind::LdsStore
-                                       : MemAccess::Kind::LdsLoad;
-        for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-            if (!(mask & (1ull << lane)))
-                continue;
-            Addr off = uint64_t(imm);
-            if (srcRegs[0].valid())
-                off += wf.readVreg(srcRegs[0].idx, lane);
-            acc.laneAddrs[lane] = off;
-            if (opc == Opcode::St) {
-                wf.lds->write32(off, wf.readVreg(srcRegs[1].idx, lane));
-                if (bytes == 8)
-                    wf.lds->write32(off + 4,
-                                    wf.readVreg(srcRegs[1].idx + 1, lane));
-            } else {
-                wf.writeVreg(dstReg.idx, lane, wf.lds->read32(off));
-                if (bytes == 8)
-                    wf.writeVreg(dstReg.idx + 1, lane,
-                                 wf.lds->read32(off + 4));
-            }
-        }
-        wf.pendingAccess = acc;
-        return;
-    }
-
-    // Global / readonly / private / spill all reach main memory; the
-    // private and spill segments use simulator-held base addresses and
-    // per-work-item strides (no visible address arithmetic — the exact
-    // abstraction the paper calls out).
-    acc.kind = (opc == Opcode::St) ? MemAccess::Kind::VectorStore
-                                   : MemAccess::Kind::VectorLoad;
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-        if (!(mask & (1ull << lane)))
-            continue;
-        Addr addr;
-        switch (seg) {
-          case Segment::Global:
-          case Segment::Readonly:
-            addr = wf.readVreg64(srcRegs[0].idx, lane) + uint64_t(imm);
-            break;
-          case Segment::Private:
-            addr = wf.privateBase +
-                   uint64_t(wf.globalId(lane)) * wf.privateStridePerWi +
-                   (srcRegs[0].valid()
-                        ? wf.readVreg(srcRegs[0].idx, lane) : 0) +
-                   uint64_t(imm);
-            break;
-          case Segment::Spill:
-            addr = wf.spillBase +
-                   uint64_t(wf.globalId(lane)) * wf.spillStridePerWi +
-                   (srcRegs[0].valid()
-                        ? wf.readVreg(srcRegs[0].idx, lane) : 0) +
-                   uint64_t(imm);
-            break;
-          default:
-            panic("unhandled segment");
-        }
-        acc.laneAddrs[lane] = addr;
-
-        if (opc == Opcode::St) {
-            if (bytes == 8) {
-                uint64_t v = wf.readVreg64(srcRegs[1].idx, lane);
-                wf.memory->write(addr, &v, 8);
-            } else {
-                uint32_t v = wf.readVreg(srcRegs[1].idx, lane);
-                wf.memory->write(addr, &v, 4);
-            }
-        } else if (opc == Opcode::AtomicAdd) {
-            uint32_t old = wf.memory->read<uint32_t>(addr);
-            uint32_t add = wf.readVreg(srcRegs[1].idx, lane);
-            wf.memory->write<uint32_t>(addr, old + add);
-            if (dstReg.valid())
-                wf.writeVreg(dstReg.idx, lane, old);
-        } else {
-            if (bytes == 8) {
-                uint64_t v = 0;
-                wf.memory->read(addr, &v, 8);
-                wf.writeVreg64(dstReg.idx, lane, v);
-            } else {
-                uint32_t v = 0;
-                wf.memory->read(addr, &v, 4);
-                wf.writeVreg(dstReg.idx, lane, v);
-            }
-        }
-    }
-    wf.pendingAccess = acc;
+    // The IL has no ABI: the simulator supplies the kernarg base itself
+    // and services the access from functional state.
+    ilMemory(wf, *this, arch::MemAccess::Kind::KernargDirect);
 }
 
 void
@@ -514,12 +402,12 @@ HsailInst::executeBranch(arch::WfState &wf) const
 
     uint64_t active = wf.activeMask();
     bool if_zero = branchIfZero();
+    const uint32_t *cond = wf.vregs[srcRegs[0].idx].data();
     uint64_t taken = 0;
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-        if ((active & (1ull << lane)) &&
-            (wf.readVreg(srcRegs[0].idx, lane) != 0) != if_zero) {
+    for (uint64_t rest = active; rest; rest &= rest - 1) {
+        unsigned lane = unsigned(std::countr_zero(rest));
+        if ((cond[lane] != 0) != if_zero)
             taken |= 1ull << lane;
-        }
     }
     uint64_t not_taken = active & ~taken;
 

@@ -102,7 +102,7 @@ class HsailInst : public arch::Instruction
 
   private:
     /** The direct-threaded handlers (exec.cc) read operand fields and
-     *  reuse the private executors non-virtually on cold paths. */
+     *  call the private executors non-virtually. */
     friend struct HsailExec;
 
     void finalizeOperands();

@@ -1,22 +1,32 @@
 /**
  * @file
- * The IL's per-lane ALU semantics, written once for the two levels
- * whose ALU instructions carry IL opcodes: HSAIL itself and PTXL
- * (PtxlInst names its value semantics by hsail::Opcode, so the levels
- * agree functionally by construction; machine lowering must not
- * change an IEEE result).
+ * The IL's per-lane semantics, written once for all three levels:
+ * HSAIL itself, PTXL (PtxlInst names its value semantics by
+ * hsail::Opcode) and GCN3, whose VALU and VOPC ops map onto IL ops
+ * through gcn3::ilTwin() (src/gcn3/inst.hh). The levels therefore
+ * agree functionally by construction; machine lowering must not change
+ * an IEEE result.
  *
- * The semantics exist here in two implementations, which the engine
- * differential tests and the lane-table test compare:
+ * The ALU semantics exist here in two implementations, which the
+ * engine differential tests and the lane-table tests compare:
  *
  *  - the reference: laneValue() (with laneCompare() and laneCvt()), a
  *    runtime switch over (opcode, type) on operands zero-extended to
  *    64 bits. The virtual execute() path calls it once per lane
- *    through laneReference(), which also fetches the operands;
+ *    (through laneReference() at the IL levels, which also fetches the
+ *    operands);
  *  - the fast kernels: lane32<OP, DT>() and laneCmp32<C, DT>(), one
- *    instantiation per 32-bit (opcode, type), and the active-lane
- *    handlers IlAluHandlers<Inst> builds from them for the predecoded
- *    engine. aluTable()/cmpTable() list the pairs that have a kernel.
+ *    instantiation per 32-bit (opcode, type), run by forLanes(). The
+ *    IL levels' active-lane handlers are IlAluHandlers<Inst>; GCN3's
+ *    feed the same kernels its resolved operand rows.
+ *    aluTable()/cmpTable() list the pairs that have a kernel.
+ *
+ * Conversions have one implementation, laneCvt(): GCN3's fast handlers
+ * instantiate it at constant types.
+ *
+ * The IL's memory instructions are here too, in one implementation
+ * both engines run (ilMemory(): the segment addressing over the
+ * memory-lane body in arch/lane_mem.hh).
  *
  * Integer corner cases are defined once, here, in unsigned arithmetic:
  * division or remainder by zero yields 0, INT32_MIN / -1 wraps to
@@ -33,6 +43,7 @@
 #include <cstdint>
 
 #include "arch/exec_meta.hh"
+#include "arch/lane_mem.hh"
 #include "arch/wf_state.hh"
 #include "common/logging.hh"
 #include "hsail/inst.hh"
@@ -93,8 +104,16 @@ laneCompare(CmpOp cmp, DataType t, uint64_t a, uint64_t b)
     }
 }
 
-/** The reference conversion of one lane's source bits `s` (read at
- *  type `from`) to type `to`. */
+/**
+ * The conversion of one lane's source bits `s` (read at type `from`)
+ * to type `to`, in the one implementation both engines run. A float
+ * converts to a 32-bit integer by truncation. C++ leaves a NaN or an
+ * out-of-range value undefined there, and a vectorized loop settles
+ * it differently from a scalar one, so the result is fixed here as
+ * x86-64's scalar truncations give it: to s32, INT32_MIN; to u32, the
+ * low word of the value truncated to 64 bits, and 0 if that does not
+ * fit either.
+ */
 inline uint64_t
 laneCvt(DataType to, DataType from, uint64_t s)
 {
@@ -108,9 +127,13 @@ laneCvt(DataType to, DataType from, uint64_t s)
     switch (to) {
       case DataType::F32: return fromF32(float(v));
       case DataType::F64: return fromF64(v);
-      case DataType::S32: return uint64_t(uint32_t(int32_t(v)));
+      case DataType::S32:
+        return v > -0x1p31 - 1 && v < 0x1p31
+            ? uint64_t(uint32_t(int32_t(v))) : 0x80000000u;
       case DataType::U64: return uint64_t(v);
-      default: return uint64_t(uint32_t(v));
+      default:
+        return v >= -0x1p63 && v < 0x1p63
+            ? uint64_t(uint32_t(uint64_t(int64_t(v)))) : 0;
     }
 }
 
@@ -279,26 +302,6 @@ laneReference(const arch::WfState &wf, unsigned lane, Opcode op,
     }
 }
 
-/** Source operands a fast ALU kernel reads. */
-constexpr unsigned
-aluArity(Opcode op)
-{
-    switch (op) {
-      case Opcode::Abs:
-      case Opcode::Neg:
-      case Opcode::Not:
-      case Opcode::Mov:
-        return 1;
-      case Opcode::Mad:
-      case Opcode::Fma:
-      case Opcode::Bfe:
-      case Opcode::CMov:
-        return 3;
-      default:
-        return 2;
-    }
-}
-
 /**
  * One lane of a 32-bit ALU op: the fast kernel. Each expression is the
  * 32-bit reading of its laneValue() case (a zero-extension dropped
@@ -336,6 +339,13 @@ lane32(uint32_t a, [[maybe_unused]] uint32_t b, [[maybe_unused]] uint32_t c)
             return fromF32(std::fma(asF32(a), asF32(b), asF32(c)));
         else
             return a * b + c;
+    } else if constexpr (OP == Opcode::Div) {
+        if constexpr (DT == DataType::F32)
+            return fromF32(asF32(a) / asF32(b));
+        else if constexpr (DT == DataType::S32)
+            return divS32(a, b);
+        else
+            return b == 0 ? 0 : a / b;
     } else if constexpr (OP == Opcode::Min) {
         if constexpr (DT == DataType::F32)
             return fromF32(std::fmin(asF32(a), asF32(b)));
@@ -360,6 +370,8 @@ lane32(uint32_t a, [[maybe_unused]] uint32_t b, [[maybe_unused]] uint32_t c)
             return fromF32(-asF32(a));
         else
             return negS32(a);
+    } else if constexpr (OP == Opcode::Sqrt) {
+        return fromF32(std::sqrt(asF32(a))); // at every 32-bit type
     } else if constexpr (OP == Opcode::And) {
         return a & b;
     } else if constexpr (OP == Opcode::Or) {
@@ -416,10 +428,69 @@ laneCmp32(uint32_t a, uint32_t b)
 }
 
 /**
+ * The IL's memory instructions, HSAIL's ld/st/atomic_add and PTXL's
+ * LDG/STG/ATOM/LDS/STS/LDL/STL/LDC alike, for both engines: the
+ * segment forms each lane's address and arch/lane_mem.hh moves the
+ * data. The private and spill segments use simulator-held bases and
+ * per-work-item strides, with no visible address arithmetic (the
+ * abstraction the paper calls out; NVIDIA's LDL/STL hide it the same
+ * way). The IL has no ABI either: a kernarg (or arg) load reads the
+ * kernarg base from simulator state, as one uniform access of kind
+ * `uniform` (HSAIL's kernarg-direct path, PTXL's constant cache).
+ */
+template <class Inst>
+inline void
+ilMemory(arch::WfState &wf, const Inst &I, arch::MemAccess::Kind uniform)
+{
+    const unsigned bytes = typeBytes(I.type());
+    const uint64_t imm = I.immBits();
+    const Segment seg = I.segment();
+    if (seg == Segment::Kernarg || seg == Segment::Arg) {
+        arch::broadcastLoad(wf, uniform, wf.kernargBase + imm, bytes,
+                            I.dst().idx);
+        return;
+    }
+    const Reg a = I.src(0);
+    const arch::LaneMem mem{
+        arch::LaneMem::opOf(I), seg == Segment::Group, bytes, I.src(1).idx,
+        I.dst().valid() ? I.dst().idx : arch::LaneMem::NoReg};
+    // A 32-bit offset register, if any, plus the immediate.
+    auto offset = [&](unsigned lane) -> Addr {
+        return (a.valid() ? wf.readVreg(a.idx, lane) : 0) + imm;
+    };
+    switch (seg) {
+      case Segment::Global:
+      case Segment::Readonly:
+        arch::laneMemory(wf, mem, [&](unsigned lane) {
+            return wf.readVreg64(a.idx, lane) + imm;
+        });
+        return;
+      case Segment::Group:
+        arch::laneMemory(wf, mem, offset);
+        return;
+      case Segment::Private:
+      case Segment::Spill: {
+        const bool spill = seg == Segment::Spill;
+        const Addr base = spill ? wf.spillBase : wf.privateBase;
+        const uint64_t stride =
+            spill ? wf.spillStridePerWi : wf.privateStridePerWi;
+        arch::laneMemory(wf, mem, [&](unsigned lane) {
+            return base + uint64_t(wf.globalId(lane)) * stride +
+                   offset(lane);
+        });
+        return;
+      }
+      default:
+        panic("unhandled segment %s", segmentName(seg));
+    }
+}
+
+/**
  * The 32-bit (opcode, type) pairs that have a fast kernel, as
- * K<OP, DT>::fn for each; nullptr for the rest (div, rem, sqrt, cvt,
- * the dispatch intrinsics and every 64-bit type take the reference
- * path). Handler selection and the lane-table test read this one list.
+ * K<OP, DT>::fn for each; nullptr for the rest (rem, cvt, the
+ * dispatch intrinsics and every 64-bit type take the reference path).
+ * Handler selection at all three levels and the lane-table tests read
+ * this one list.
  */
 template <template <Opcode, DataType> class K, DataType DT>
 constexpr auto
@@ -432,10 +503,12 @@ aluTable(Opcode op) -> decltype(&K<Opcode::Mov, DT>::fn)
       case Opcode::MulHi: return &K<Opcode::MulHi, DT>::fn;
       case Opcode::Mad: return &K<Opcode::Mad, DT>::fn;
       case Opcode::Fma: return &K<Opcode::Fma, DT>::fn;
+      case Opcode::Div: return &K<Opcode::Div, DT>::fn;
       case Opcode::Min: return &K<Opcode::Min, DT>::fn;
       case Opcode::Max: return &K<Opcode::Max, DT>::fn;
       case Opcode::Abs: return &K<Opcode::Abs, DT>::fn;
       case Opcode::Neg: return &K<Opcode::Neg, DT>::fn;
+      case Opcode::Sqrt: return &K<Opcode::Sqrt, DT>::fn;
       case Opcode::And: return &K<Opcode::And, DT>::fn;
       case Opcode::Or: return &K<Opcode::Or, DT>::fn;
       case Opcode::Xor: return &K<Opcode::Xor, DT>::fn;
@@ -493,12 +566,30 @@ cmpTable(CmpOp c, DataType t) -> decltype(&K<CmpOp::Eq, DataType::B32>::fn)
 }
 
 /**
+ * The fast engine's lane loop: d[l] = f(l) for each lane in `mask`,
+ * visited ctz-style, with a full-row loop the compiler can
+ * autovectorize when all 64 are live.
+ */
+template <class F>
+inline void
+forLanes(uint64_t mask, uint32_t *d, F f)
+{
+    if (mask == ~0ull) {
+        for (unsigned l = 0; l < WavefrontSize; ++l)
+            d[l] = f(l);
+    } else {
+        for (uint64_t rest = mask; rest; rest &= rest - 1) {
+            unsigned l = unsigned(std::countr_zero(rest));
+            d[l] = f(l);
+        }
+    }
+}
+
+/**
  * The predecoded engine's fast ALU handlers for an instruction class
  * with IL value semantics (HsailInst, PtxlInst): registers come from
  * Inst::dst()/src(i), the lanes from WfState::activeMask(), and the
- * next PC is pc + Inst::EncodedBytes. Lanes are visited ctz-style
- * over the mask, with a full-row loop the compiler can autovectorize
- * when all 64 are live.
+ * next PC is pc + Inst::EncodedBytes.
  */
 template <class Inst>
 struct IlAluHandlers
@@ -509,23 +600,6 @@ struct IlAluHandlers
         return static_cast<const Inst &>(*m.inst);
     }
 
-    /** Apply `f(lane)` to each active lane of `wf`'s destination row. */
-    template <class F>
-    static void
-    forLanes(arch::WfState &wf, uint32_t *d, F f)
-    {
-        const uint64_t mask = wf.activeMask();
-        if (mask == ~0ull) {
-            for (unsigned l = 0; l < WavefrontSize; ++l)
-                d[l] = f(l);
-        } else {
-            for (uint64_t rest = mask; rest; rest &= rest - 1) {
-                unsigned l = unsigned(std::countr_zero(rest));
-                d[l] = f(l);
-            }
-        }
-    }
-
     /** movimm: broadcast the immediate into the active lanes. */
     static void
     movImm(const arch::ExecMeta &m, arch::WfState &wf)
@@ -533,9 +607,8 @@ struct IlAluHandlers
         const Inst &I = inst(m);
         wf.nextPc = wf.pc + Inst::EncodedBytes;
         const uint32_t v = uint32_t(I.immBits());
-        forLanes(wf, wf.vregs[I.dst().idx].data(), [v](unsigned) {
-            return v;
-        });
+        uint32_t *d = wf.vregs[I.dst().idx].data();
+        forLanes(wf.activeMask(), d, [v](unsigned) { return v; });
     }
 
     /** 32-bit ALU op, one instantiation per (opcode, type). */
@@ -555,7 +628,8 @@ struct IlAluHandlers
                 b = wf.vregs[I.src(1).idx].data();
             if constexpr (N >= 3)
                 c = wf.vregs[I.src(2).idx].data();
-            forLanes(wf, wf.vregs[I.dst().idx].data(), [=](unsigned l) {
+            uint32_t *d = wf.vregs[I.dst().idx].data();
+            forLanes(wf.activeMask(), d, [=](unsigned l) {
                 return lane32<OP, DT>(a[l], b[l], c[l]);
             });
         }
@@ -572,7 +646,8 @@ struct IlAluHandlers
             wf.nextPc = wf.pc + Inst::EncodedBytes;
             const uint32_t *a = wf.vregs[I.src(0).idx].data();
             const uint32_t *b = wf.vregs[I.src(1).idx].data();
-            forLanes(wf, wf.vregs[I.dst().idx].data(), [=](unsigned l) {
+            uint32_t *d = wf.vregs[I.dst().idx].data();
+            forLanes(wf.activeMask(), d, [=](unsigned l) {
                 return laneCmp32<C, DT>(a[l], b[l]);
             });
         }
@@ -590,8 +665,7 @@ struct IlAluHandlers
             return nullptr;
         if (op == Opcode::MovImm)
             return &movImm;
-        unsigned n = op == Opcode::Cmp ? 2 : aluArity(op);
-        for (unsigned s = 0; s < n; ++s)
+        for (unsigned s = 0; s < aluArity(op); ++s)
             if (!I.src(s).valid())
                 return nullptr;
         if (op == Opcode::Cmp)

@@ -70,6 +70,28 @@ const char *typeName(DataType t);
 const char *segmentName(Segment s);
 const char *cmpOpName(CmpOp c);
 
+/** Source operands an ALU op reads (cmp reads 2). */
+constexpr unsigned
+aluArity(Opcode op)
+{
+    switch (op) {
+      case Opcode::Abs:
+      case Opcode::Neg:
+      case Opcode::Sqrt:
+      case Opcode::Not:
+      case Opcode::Mov:
+      case Opcode::Cvt:
+        return 1;
+      case Opcode::Mad:
+      case Opcode::Fma:
+      case Opcode::Bfe:
+      case Opcode::CMov:
+        return 3;
+      default:
+        return 2;
+    }
+}
+
 /** Registers a value of this type occupies (1 or 2). */
 constexpr unsigned
 typeRegs(DataType t)

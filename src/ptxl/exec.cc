@@ -6,9 +6,12 @@
  * flat handlers below, following the src/hsail/exec.cc idiom. ALU
  * instructions carry IL value semantics, so the hot 32-bit classes get
  * the IL's shared active-lane kernels (hsail/lane_ops.hh); this file
- * holds only what is PTXL's own — ISETP, SEL/P2R, S2R, the convergence
- * barriers, branches and memory — and everything without a kernel
- * calls the reference executors non-virtually.
+ * holds only what is PTXL's own: S2R's broadcast and the trivial
+ * control handlers. Everything else has one implementation, the
+ * reference executor, called non-virtually: memory (the IL's segment
+ * addressing in hsail/lane_ops.hh over the lane body all three levels
+ * share, arch/lane_mem.hh), ISETP, SEL/P2R, branches, BSYNC and the
+ * ALU ops without a kernel.
  *
  * Correctness contract: every handler is bit-identical to the
  * corresponding piece of PtxlInst::execute(); tests/test_ptxl.cc runs
@@ -65,43 +68,6 @@ struct PtxlExec
         wf.cbarExpected[I.bar] = wf.exec;
         wf.cbarArrived[I.bar] = 0;
     }
-
-    static void
-    bsyncH(const Meta &m, Wf &wf)
-    {
-        wf.nextPc = wf.pc + PtxlInst::EncodedBytes;
-        inst(m).executeBsync(wf);
-    }
-
-    static void
-    braH(const Meta &m, Wf &wf)
-    {
-        wf.nextPc = wf.pc + PtxlInst::EncodedBytes;
-        inst(m).executeBranch(wf);
-    }
-    /** @} */
-
-    /** @{ Cold wrappers: the reference executors, non-virtually. */
-    static void
-    isetpH(const Meta &m, Wf &wf)
-    {
-        wf.nextPc = wf.pc + PtxlInst::EncodedBytes;
-        inst(m).executeIsetp(wf);
-    }
-
-    static void
-    memH(const Meta &m, Wf &wf)
-    {
-        wf.nextPc = wf.pc + PtxlInst::EncodedBytes;
-        inst(m).executeMem(wf);
-    }
-
-    static void
-    aluGenericH(const Meta &m, Wf &wf)
-    {
-        wf.nextPc = wf.pc + PtxlInst::EncodedBytes;
-        inst(m).executeAlu(wf);
-    }
     /** @} */
 
     /** S2R: broadcast a special register into the active lanes. */
@@ -130,26 +96,31 @@ struct PtxlExec
           case PtxlOp::Ldl:
           case PtxlOp::Stl:
           case PtxlOp::Ldc:
-            return &memH;
-          case PtxlOp::Bra: return &braH;
+            return &arch::refH<PtxlInst, &PtxlInst::executeMem>;
+          case PtxlOp::Bra:
+            return &arch::refH<PtxlInst, &PtxlInst::executeBranch>;
           case PtxlOp::Bssy: return &bssyH;
-          case PtxlOp::Bsync: return &bsyncH;
+          case PtxlOp::Bsync:
+            return &arch::refH<PtxlInst, &PtxlInst::executeBsync>;
           case PtxlOp::Bar: return &barH;
           case PtxlOp::Exit: return &exitH;
           case PtxlOp::Nop: return &nopH;
-          case PtxlOp::Isetp: return &isetpH;
+          case PtxlOp::Isetp:
+            return &arch::refH<PtxlInst, &PtxlInst::executeIsetp>;
+          case PtxlOp::S2r:
+            if (I.dstReg.valid())
+                return &s2rH;
+            break;
+          case PtxlOp::Alu:
+            if (arch::ExecHandler h =
+                    hsail::IlAluHandlers<PtxlInst>::pick(I, I.sem))
+                return h;
+            break;
           case PtxlOp::Sel:
           case PtxlOp::P2r:
-            return &aluGenericH;
-          case PtxlOp::S2r:
-            return I.dstReg.valid() ? &s2rH : &aluGenericH;
-          case PtxlOp::Alu: {
-            arch::ExecHandler h =
-                hsail::IlAluHandlers<PtxlInst>::pick(I, I.sem);
-            return h ? h : &aluGenericH;
-          }
+            break;
         }
-        return &aluGenericH;
+        return &arch::refH<PtxlInst, &PtxlInst::executeAlu>;
     }
 };
 

@@ -426,112 +426,11 @@ PtxlInst::executeIsetp(arch::WfState &wf) const
 void
 PtxlInst::executeMem(arch::WfState &wf) const
 {
-    using arch::MemAccess;
-    uint64_t mask = wf.exec;
-    unsigned bytes = typeBytes(dtype);
-    MemAccess acc;
-    acc.bytesPerLane = bytes;
-    acc.mask = mask;
-
-    if (opc == PtxlOp::Ldc) {
-        // Constant bank c[0][imm]: the kernel-parameter window the
-        // driver bound at launch, served through the constant cache.
-        Addr addr = wf.kernargBase + imm;
-        uint64_t val = 0;
-        wf.memory->read(addr, &val, bytes);
-        for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-            if (!(mask & (1ull << lane)))
-                continue;
-            if (bytes == 8)
-                wf.writeVreg64(dstReg.idx, lane, val);
-            else
-                wf.writeVreg(dstReg.idx, lane, uint32_t(val));
-        }
-        acc.kind = MemAccess::Kind::ScalarLoad;
-        acc.scalarAddr = addr;
-        acc.scalarBytes = bytes;
-        wf.pendingAccess = acc;
-        return;
-    }
-
-    if (opc == PtxlOp::Lds || opc == PtxlOp::Sts) {
-        acc.kind = (opc == PtxlOp::Sts) ? MemAccess::Kind::LdsStore
-                                        : MemAccess::Kind::LdsLoad;
-        for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-            if (!(mask & (1ull << lane)))
-                continue;
-            Addr off = imm;
-            if (srcRegs[0].valid())
-                off += wf.readVreg(srcRegs[0].idx, lane);
-            acc.laneAddrs[lane] = off;
-            if (opc == PtxlOp::Sts) {
-                wf.lds->write32(off, wf.readVreg(srcRegs[1].idx, lane));
-                if (bytes == 8)
-                    wf.lds->write32(off + 4,
-                                    wf.readVreg(srcRegs[1].idx + 1, lane));
-            } else {
-                wf.writeVreg(dstReg.idx, lane, wf.lds->read32(off));
-                if (bytes == 8)
-                    wf.writeVreg(dstReg.idx + 1, lane,
-                                 wf.lds->read32(off + 4));
-            }
-        }
-        wf.pendingAccess = acc;
-        return;
-    }
-
-    acc.kind = (opc == PtxlOp::Stg || opc == PtxlOp::Stl)
-                   ? MemAccess::Kind::VectorStore
-                   : MemAccess::Kind::VectorLoad;
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-        if (!(mask & (1ull << lane)))
-            continue;
-        Addr addr;
-        if (opc == PtxlOp::Ldl || opc == PtxlOp::Stl) {
-            // Local memory: the hardware computes the per-thread
-            // address from the thread's local-memory window — no
-            // visible address arithmetic, exactly like NVIDIA LDL/STL.
-            Addr base = (seg == Segment::Spill) ? wf.spillBase
-                                                : wf.privateBase;
-            uint64_t stride = (seg == Segment::Spill)
-                                  ? wf.spillStridePerWi
-                                  : wf.privateStridePerWi;
-            addr = base + uint64_t(wf.globalId(lane)) * stride +
-                   (srcRegs[0].valid()
-                        ? wf.readVreg(srcRegs[0].idx, lane) : 0) +
-                   imm;
-        } else {
-            addr = wf.readVreg64(srcRegs[0].idx, lane) + imm;
-        }
-        acc.laneAddrs[lane] = addr;
-
-        if (opc == PtxlOp::Stg || opc == PtxlOp::Stl) {
-            if (bytes == 8) {
-                uint64_t v = wf.readVreg64(srcRegs[1].idx, lane);
-                wf.memory->write(addr, &v, 8);
-            } else {
-                uint32_t v = wf.readVreg(srcRegs[1].idx, lane);
-                wf.memory->write(addr, &v, 4);
-            }
-        } else if (opc == PtxlOp::Atom) {
-            uint32_t old = wf.memory->read<uint32_t>(addr);
-            uint32_t add = wf.readVreg(srcRegs[1].idx, lane);
-            wf.memory->write<uint32_t>(addr, old + add);
-            if (dstReg.valid())
-                wf.writeVreg(dstReg.idx, lane, old);
-        } else {
-            if (bytes == 8) {
-                uint64_t v = 0;
-                wf.memory->read(addr, &v, 8);
-                wf.writeVreg64(dstReg.idx, lane, v);
-            } else {
-                uint32_t v = 0;
-                wf.memory->read(addr, &v, 4);
-                wf.writeVreg(dstReg.idx, lane, v);
-            }
-        }
-    }
-    wf.pendingAccess = acc;
+    // Each opcode names its segment's address form (LDG/STG/ATOM the
+    // 64-bit pair, LDS/STS the LDS offset, LDL/STL the thread's local
+    // window); LDC reads constant bank c[0][imm], the kernel-parameter
+    // window the driver bound at launch, through the constant cache.
+    hsail::ilMemory(wf, *this, arch::MemAccess::Kind::ScalarLoad);
 }
 
 void

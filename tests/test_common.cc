@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -186,6 +189,49 @@ TEST(Config, Table4Defaults)
     EXPECT_EQ(cfg.l2.sizeBytes, 512u * 1024);
     EXPECT_EQ(cfg.dramChannels, 32u);
     EXPECT_NE(cfg.summary().find("8 CUs"), std::string::npos);
+}
+
+TEST(Config, ExecReferenceFollowsTheEnvironment)
+{
+    // LAST_EXEC_REFERENCE picks the engine for the whole process
+    // (CI's scale-1 reference leg relies on it), and
+    // GpuConfig::defaultExecReference reads it only once, so each value
+    // is checked in a fresh process: the threadsafe death-test style
+    // re-executes this binary, which inherits the environment set here.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const char *env = std::getenv("LAST_EXEC_REFERENCE");
+    const std::optional<std::string> saved =
+        env ? std::optional<std::string>(env) : std::nullopt;
+    const struct
+    {
+        const char *value; // nullptr: unset
+        const char *engine;
+    } cases[] = {{nullptr, "predecoded"},
+                 {"1", "reference"},
+                 {"0", "predecoded"},
+                 {"", "predecoded"}};
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.value ? "LAST_EXEC_REFERENCE='" +
+                                   std::string(c.value) + "'"
+                             : std::string("LAST_EXEC_REFERENCE unset"));
+        if (c.value)
+            setenv("LAST_EXEC_REFERENCE", c.value, 1);
+        else
+            unsetenv("LAST_EXEC_REFERENCE");
+        EXPECT_EXIT(
+            {
+                std::fprintf(stderr, "engine=%s\n",
+                             GpuConfig{}.execReference ? "reference"
+                                                       : "predecoded");
+                std::exit(0);
+            },
+            ::testing::ExitedWithCode(0),
+            std::string("engine=") + c.engine);
+    }
+    if (saved)
+        setenv("LAST_EXEC_REFERENCE", saved->c_str(), 1);
+    else
+        unsetenv("LAST_EXEC_REFERENCE");
 }
 
 TEST(BuildFlags, NoFloatContraction)

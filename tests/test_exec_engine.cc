@@ -8,16 +8,22 @@
  * virtual-dispatch reference (GpuConfig::execReference), and the
  * bench-cache rows serialized from the two runs must be byte-identical
  * files. A third test pins the predecode contract itself: every
- * ExecMeta record must agree with the virtual methods it replaces.
+ * ExecMeta record must agree with the virtual methods it replaces; a
+ * fourth, which GCN3 VALU/VOPC opcodes get a fast handler.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "arch/exec_meta.hh"
 #include "arch/kernel_code.hh"
 #include "finalizer/finalizer.hh"
+#include "gcn3/inst.hh"
 #include "finalizer/regalloc.hh"
 #include "helpers.hh"
 #include "runtime/runtime.hh"
@@ -134,4 +140,64 @@ TEST(ExecEngine, PredecodedMetaAgreesWithInstruction)
         auto gcn = finalizer::finalize(il, rt.config());
         checkKernel(*gcn);
     }
+}
+
+TEST(ExecEngine, Gcn3HotValuOpsKeepFastHandlers)
+{
+    // The 55 VALU/VOPC opcodes that had a fast handler before GCN3's
+    // VALU joined the IL lane library. Each keeps one: an IL twin's
+    // kernel, or the row-based implementation of an op only GCN3 has.
+    // A 64-bit twin (V_ADD_F64) still runs the reference executor.
+    using gcn3::Gcn3Op;
+    const Gcn3Op hot[] = {
+        Gcn3Op::V_MOV_B32, Gcn3Op::V_NOT_B32, Gcn3Op::V_RCP_F32,
+        Gcn3Op::V_SQRT_F32, Gcn3Op::V_CVT_F32_U32, Gcn3Op::V_CVT_F32_I32,
+        Gcn3Op::V_CVT_U32_F32, Gcn3Op::V_CVT_I32_F32, Gcn3Op::V_MUL_LO_U32,
+        Gcn3Op::V_MUL_HI_U32, Gcn3Op::V_ADD_F32, Gcn3Op::V_SUB_F32,
+        Gcn3Op::V_MUL_F32, Gcn3Op::V_MAC_F32, Gcn3Op::V_MIN_F32,
+        Gcn3Op::V_MAX_F32, Gcn3Op::V_MIN_U32, Gcn3Op::V_MAX_U32,
+        Gcn3Op::V_MIN_I32, Gcn3Op::V_MAX_I32, Gcn3Op::V_AND_B32,
+        Gcn3Op::V_OR_B32, Gcn3Op::V_XOR_B32, Gcn3Op::V_LSHLREV_B32,
+        Gcn3Op::V_LSHRREV_B32, Gcn3Op::V_ASHRREV_I32, Gcn3Op::V_CNDMASK_B32,
+        Gcn3Op::V_MAD_F32, Gcn3Op::V_FMA_F32, Gcn3Op::V_MAD_U32_U24,
+        Gcn3Op::V_BFE_U32, Gcn3Op::V_DIV_FMAS_F32, Gcn3Op::V_DIV_FIXUP_F32,
+        Gcn3Op::V_ADD_U32, Gcn3Op::V_ADDC_U32, Gcn3Op::V_SUB_U32,
+        Gcn3Op::V_SUBB_U32, Gcn3Op::V_CMP_EQ_U32, Gcn3Op::V_CMP_NE_U32,
+        Gcn3Op::V_CMP_LT_U32, Gcn3Op::V_CMP_LE_U32, Gcn3Op::V_CMP_GT_U32,
+        Gcn3Op::V_CMP_GE_U32, Gcn3Op::V_CMP_EQ_I32, Gcn3Op::V_CMP_NE_I32,
+        Gcn3Op::V_CMP_LT_I32, Gcn3Op::V_CMP_LE_I32, Gcn3Op::V_CMP_GT_I32,
+        Gcn3Op::V_CMP_GE_I32, Gcn3Op::V_CMP_EQ_F32, Gcn3Op::V_CMP_NE_F32,
+        Gcn3Op::V_CMP_LT_F32, Gcn3Op::V_CMP_LE_F32, Gcn3Op::V_CMP_GT_F32,
+        Gcn3Op::V_CMP_GE_F32,
+    };
+    ASSERT_EQ(std::size(hot), 55u);
+
+    using gcn3::Src;
+    arch::KernelCode code(IsaKind::GCN3, "hot_valu");
+    auto add = [&](Gcn3Op op) {
+        code.append(std::unique_ptr<arch::Instruction>(gcn3::Gcn3Inst::vop3(
+            op, gcn3::Dst::vgpr(0), Src::vgpr(4), Src::vgpr(6),
+            Src::vgpr(8))));
+    };
+    for (Gcn3Op op : hot)
+        add(op);
+    add(Gcn3Op::V_ADD_F64);
+    code.append(std::unique_ptr<arch::Instruction>(
+        gcn3::Gcn3Inst::sopp(Gcn3Op::S_ENDPGM)));
+    code.seal();
+
+    const auto &metas = code.execMetas();
+    const arch::ExecHandler reference = metas[std::size(hot)].handler;
+    std::vector<arch::ExecHandler> kernels;
+    for (size_t i = 0; i < std::size(hot); ++i) {
+        SCOPED_TRACE(gcn3::opName(hot[i]));
+        EXPECT_NE(metas[i].handler, reference);
+        if (gcn3::ilTwin(hot[i]).valid())
+            kernels.push_back(metas[i].handler);
+    }
+    // One kernel instantiation per twin opcode.
+    std::sort(kernels.begin(), kernels.end());
+    EXPECT_EQ(std::adjacent_find(kernels.begin(), kernels.end()),
+              kernels.end());
+    EXPECT_EQ(kernels.size(), 48u);
 }

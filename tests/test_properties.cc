@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <vector>
 
 #include "cu/probes.hh"
@@ -30,12 +31,25 @@ using namespace last;
 namespace
 {
 
+/**
+ * One VALU/VOPC op on fixed operands, with its result computed on the
+ * host here, not from the GCN3-to-IL mapping table (ilTwin), so a
+ * wrong mapping (a lost operand swap, a wrong type or source order)
+ * fails by name. Register-pair sources and results hold 64-bit values;
+ * a compare's result is its VCC bit.
+ */
 struct ValuCase
 {
     const char *name;
     gcn3::Gcn3Op op;
-    uint32_t a, b;
-    uint32_t expect;
+    uint64_t a, b;
+    uint64_t expect;
+    uint64_t c = 0; ///< the third source
+    uint64_t d = 0; ///< the destination before the op (V_MAC_F32)
+    /** VCC in the lanes checked before the op (the carry-in, the
+     *  cndmask select) and after it (-1: unchanged). */
+    int vccIn = 1, vccOut = -1;
+    int dstIs = -1; ///< the source the destination aliases (-1: none)
 };
 
 // Without a printer gtest lists each case by its raw bytes, which hold
@@ -44,35 +58,131 @@ struct ValuCase
 void PrintTo(const ValuCase &c, std::ostream *os) { *os << c.name; }
 
 uint32_t f2b(float f) { return std::bit_cast<uint32_t>(f); }
+uint64_t d2b(double d) { return std::bit_cast<uint64_t>(d); }
+
+using gcn3::Gcn3Op;
 
 const ValuCase valuCases[] = {
-    {"add_small", gcn3::Gcn3Op::V_ADD_U32, 3, 4, 7},
-    {"add_wrap", gcn3::Gcn3Op::V_ADD_U32, 0xffffffffu, 2, 1},
-    {"sub", gcn3::Gcn3Op::V_SUB_U32, 10, 3, 7},
-    {"sub_borrow", gcn3::Gcn3Op::V_SUB_U32, 1, 3, 0xfffffffeu},
-    {"mul_lo", gcn3::Gcn3Op::V_MUL_LO_U32, 100000, 100000,
+    // The carry family writes its carry-out (borrow-out) into VCC;
+    // ADDC and SUBB add (subtract) VCC as the carry-in, ADD and SUB
+    // ignore it.
+    {.name = "add_small", .op = Gcn3Op::V_ADD_U32, .a = 3, .b = 4,
+     .expect = 7, .vccOut = 0},
+    {.name = "add_wrap", .op = Gcn3Op::V_ADD_U32, .a = 0xffffffffu,
+     .b = 2, .expect = 1, .vccOut = 1},
+    {.name = "sub", .op = Gcn3Op::V_SUB_U32, .a = 10, .b = 3, .expect = 7,
+     .vccOut = 0},
+    {.name = "sub_borrow", .op = Gcn3Op::V_SUB_U32, .a = 1, .b = 3,
+     .expect = 0xfffffffeu, .vccOut = 1},
+    {.name = "add_vcc_clear", .op = Gcn3Op::V_ADD_U32,
+     .a = 0xffffffffu, .b = 2, .expect = 1, .vccIn = 0, .vccOut = 1},
+    {.name = "sub_vcc_clear", .op = Gcn3Op::V_SUB_U32, .a = 1, .b = 3,
+     .expect = 0xfffffffeu, .vccIn = 0, .vccOut = 1},
+    {.name = "addc_cin_set", .op = Gcn3Op::V_ADDC_U32, .a = 0xfffffffeu,
+     .b = 1, .expect = 0, .vccIn = 1, .vccOut = 1},
+    {.name = "addc_cin_clear", .op = Gcn3Op::V_ADDC_U32,
+     .a = 0xfffffffeu, .b = 1, .expect = 0xffffffffu, .vccIn = 0,
+     .vccOut = 0},
+    {.name = "subb_cin_set", .op = Gcn3Op::V_SUBB_U32, .a = 3, .b = 3,
+     .expect = 0xffffffffu, .vccIn = 1, .vccOut = 1},
+    {.name = "subb_cin_clear", .op = Gcn3Op::V_SUBB_U32, .a = 3, .b = 3,
+     .expect = 0, .vccIn = 0, .vccOut = 0},
+    // The destination is a source (v_sub_u32 v2, vcc, v2, v4, as the
+    // finalizer's 64-bit subtract emits): the carry-out still comes
+    // from the sources as they were.
+    {.name = "sub_dst_src0_borrow", .op = Gcn3Op::V_SUB_U32, .a = 1,
+     .b = 3, .expect = 0xfffffffeu, .vccOut = 1, .dstIs = 0},
+    {.name = "sub_dst_src0", .op = Gcn3Op::V_SUB_U32, .a = 10, .b = 6,
+     .expect = 4, .vccOut = 0, .dstIs = 0},
+    {.name = "subb_dst_src0", .op = Gcn3Op::V_SUBB_U32, .a = 1, .b = 3,
+     .expect = 0xfffffffdu, .vccIn = 1, .vccOut = 1, .dstIs = 0},
+    {.name = "subb_dst_src1", .op = Gcn3Op::V_SUBB_U32, .a = 1, .b = 3,
+     .expect = 0xfffffffdu, .vccIn = 1, .vccOut = 1, .dstIs = 1},
+    {.name = "add_dst_src0", .op = Gcn3Op::V_ADD_U32, .a = 0xffffffffu,
+     .b = 2, .expect = 1, .vccOut = 1, .dstIs = 0},
+    {.name = "addc_dst_src1", .op = Gcn3Op::V_ADDC_U32,
+     .a = 0xffffffffu, .b = 0, .expect = 0, .vccIn = 1, .vccOut = 1,
+     .dstIs = 1},
+    {"mul_lo", Gcn3Op::V_MUL_LO_U32, 100000, 100000,
      uint32_t(100000ull * 100000ull)},
-    {"mul_hi", gcn3::Gcn3Op::V_MUL_HI_U32, 0x80000000u, 8, 4},
-    {"and", gcn3::Gcn3Op::V_AND_B32, 0xff00ff00u, 0x0ff00ff0u,
-     0x0f000f00u},
-    {"or", gcn3::Gcn3Op::V_OR_B32, 0xf0u, 0x0fu, 0xffu},
-    {"xor", gcn3::Gcn3Op::V_XOR_B32, 0xaaaau, 0xffffu, 0x5555u},
-    {"lshl_rev", gcn3::Gcn3Op::V_LSHLREV_B32, 4, 3, 48},
-    {"lshr_rev", gcn3::Gcn3Op::V_LSHRREV_B32, 4, 48, 3},
-    {"ashr_rev", gcn3::Gcn3Op::V_ASHRREV_I32, 2, 0x80000000u,
-     0xe0000000u},
-    {"min_u", gcn3::Gcn3Op::V_MIN_U32, 5, 9, 5},
-    {"max_u", gcn3::Gcn3Op::V_MAX_U32, 5, 9, 9},
-    {"min_i", gcn3::Gcn3Op::V_MIN_I32, uint32_t(-4), 3, uint32_t(-4)},
-    {"max_i", gcn3::Gcn3Op::V_MAX_I32, uint32_t(-4), 3, 3},
-    {"add_f32", gcn3::Gcn3Op::V_ADD_F32, f2b(1.5f), f2b(2.25f),
-     f2b(3.75f)},
-    {"mul_f32", gcn3::Gcn3Op::V_MUL_F32, f2b(3.0f), f2b(-2.0f),
-     f2b(-6.0f)},
-    {"min_f32", gcn3::Gcn3Op::V_MIN_F32, f2b(3.0f), f2b(-2.0f),
-     f2b(-2.0f)},
-    {"max_f32", gcn3::Gcn3Op::V_MAX_F32, f2b(3.0f), f2b(-2.0f),
-     f2b(3.0f)},
+    {"mul_hi", Gcn3Op::V_MUL_HI_U32, 0x80000000u, 8, 4},
+    {"and", Gcn3Op::V_AND_B32, 0xff00ff00u, 0x0ff00ff0u, 0x0f000f00u},
+    {"or", Gcn3Op::V_OR_B32, 0xf0u, 0x0fu, 0xffu},
+    {"xor", Gcn3Op::V_XOR_B32, 0xaaaau, 0xffffu, 0x5555u},
+    {"lshl_rev", Gcn3Op::V_LSHLREV_B32, 4, 3, 48},
+    {"lshr_rev", Gcn3Op::V_LSHRREV_B32, 4, 48, 3},
+    {"ashr_rev", Gcn3Op::V_ASHRREV_I32, 2, 0x80000000u, 0xe0000000u},
+    {"min_u", Gcn3Op::V_MIN_U32, 5, 9, 5},
+    {"max_u", Gcn3Op::V_MAX_U32, 5, 9, 9},
+    {"min_i", Gcn3Op::V_MIN_I32, uint32_t(-4), 3, uint32_t(-4)},
+    {"max_i", Gcn3Op::V_MAX_I32, uint32_t(-4), 3, 3},
+    {"add_f32", Gcn3Op::V_ADD_F32, f2b(1.5f), f2b(2.25f), f2b(3.75f)},
+    {"mul_f32", Gcn3Op::V_MUL_F32, f2b(3.0f), f2b(-2.0f), f2b(-6.0f)},
+    {"min_f32", Gcn3Op::V_MIN_F32, f2b(3.0f), f2b(-2.0f), f2b(-2.0f)},
+    {"max_f32", Gcn3Op::V_MAX_F32, f2b(3.0f), f2b(-2.0f), f2b(3.0f)},
+    {"mov", Gcn3Op::V_MOV_B32, 0x12345678u, 0, 0x12345678u},
+    {"not", Gcn3Op::V_NOT_B32, 0x0000ffffu, 0, 0xffff0000u},
+    {"sub_f32", Gcn3Op::V_SUB_F32, f2b(1.5f), f2b(2.25f), f2b(-0.75f)},
+    {"sqrt_f32", Gcn3Op::V_SQRT_F32, f2b(6.25f), 0, f2b(2.5f)},
+    {"sqrt_f64", Gcn3Op::V_SQRT_F64, d2b(6.25), 0, d2b(2.5)},
+    // 2^31 reads as +2147483648 unsigned, -2147483648 signed.
+    {"cvt_f32_u32", Gcn3Op::V_CVT_F32_U32, 0x80000000u, 0,
+     f2b(2147483648.0f)},
+    {"cvt_f32_i32", Gcn3Op::V_CVT_F32_I32, uint32_t(-3), 0, f2b(-3.0f)},
+    {"cvt_u32_f32", Gcn3Op::V_CVT_U32_F32, f2b(3.0e9f), 0, 3000000000u},
+    {"cvt_i32_f32", Gcn3Op::V_CVT_I32_F32, f2b(-3.75f), 0, uint32_t(-3)},
+    {"cvt_f64_f32", Gcn3Op::V_CVT_F64_F32, f2b(-1.5f), 0, d2b(-1.5)},
+    {"cvt_f32_f64", Gcn3Op::V_CVT_F32_F64, d2b(0.1), 0, f2b(0.1f)},
+    {"cvt_f64_u32", Gcn3Op::V_CVT_F64_U32, 0x80000000u, 0,
+     d2b(2147483648.0)},
+    {"cvt_u32_f64", Gcn3Op::V_CVT_U32_F64, d2b(4000000000.5), 0,
+     4000000000u},
+    // Multiply-add: a * b + c. A lost or swapped operand changes each.
+    {"mac_f32", Gcn3Op::V_MAC_F32, f2b(2.0f), f2b(3.0f), f2b(7.0f), 0,
+     f2b(1.0f)},
+    {"mad_f32", Gcn3Op::V_MAD_F32, f2b(2.0f), f2b(3.0f), f2b(10.0f),
+     f2b(4.0f)},
+    {"fma_f32", Gcn3Op::V_FMA_F32, f2b(2.0f), f2b(3.0f), f2b(10.0f),
+     f2b(4.0f)},
+    {"div_fmas_f32", Gcn3Op::V_DIV_FMAS_F32, f2b(2.0f), f2b(3.0f),
+     f2b(10.0f), f2b(4.0f)},
+    {"fma_f64", Gcn3Op::V_FMA_F64, d2b(2.0), d2b(3.0), d2b(10.0),
+     d2b(4.0)},
+    {"div_fmas_f64", Gcn3Op::V_DIV_FMAS_F64, d2b(2.0), d2b(3.0),
+     d2b(10.0), d2b(4.0)},
+    // Bit field extract: a >> b, c bits wide.
+    {"bfe", Gcn3Op::V_BFE_U32, 0xabcd1234u, 8, 0xd12, 12},
+    // div_fixup: the numerator is src2, the denominator src1.
+    {"div_fixup_f32", Gcn3Op::V_DIV_FIXUP_F32, f2b(5.0f), f2b(4.0f),
+     f2b(0.25f), f2b(1.0f)},
+    {"div_fixup_f64", Gcn3Op::V_DIV_FIXUP_F64, d2b(5.0), d2b(4.0),
+     d2b(0.25), d2b(1.0)},
+    {"add_f64", Gcn3Op::V_ADD_F64, d2b(1.5), d2b(2.25), d2b(3.75)},
+    {"mul_f64", Gcn3Op::V_MUL_F64, d2b(3.0), d2b(-2.0), d2b(-6.0)},
+    {"min_f64", Gcn3Op::V_MIN_F64, d2b(3.0), d2b(-2.0), d2b(-2.0)},
+    {"max_f64", Gcn3Op::V_MAX_F64, d2b(3.0), d2b(-2.0), d2b(3.0)},
+    // VCC is set in the lanes checked: src1 is selected.
+    {"cndmask", Gcn3Op::V_CNDMASK_B32, 11, 22, 22},
+    {.name = "cndmask_vcc_clear", .op = Gcn3Op::V_CNDMASK_B32, .a = 11,
+     .b = 22, .expect = 11, .vccIn = 0},
+    // The other ops only GCN3 has. mad_u32_u24 multiplies the low 24
+    // bits of a and b; div_scale passes src0 through and clears VCC in
+    // the active lanes.
+    {"mad_u32_u24", Gcn3Op::V_MAD_U32_U24, 0x01000003u, 0xff000005u, 22,
+     7},
+    {"rcp_f32", Gcn3Op::V_RCP_F32, f2b(4.0f), 0, f2b(0.25f)},
+    {"rcp_f64", Gcn3Op::V_RCP_F64, d2b(8.0), 0, d2b(0.125)},
+    {.name = "div_scale_f32", .op = Gcn3Op::V_DIV_SCALE_F32,
+     .a = f2b(5.0f), .b = f2b(4.0f), .expect = f2b(5.0f), .c = f2b(5.0f),
+     .vccOut = 0},
+    {.name = "div_scale_f64", .op = Gcn3Op::V_DIV_SCALE_F64,
+     .a = d2b(5.0), .b = d2b(4.0), .expect = d2b(5.0), .c = d2b(5.0),
+     .vccOut = 0},
+    // One compare per type, on operands whose order differs by type.
+    {"cmp_lt_u32", Gcn3Op::V_CMP_LT_U32, 1, 0xffffffffu, 1},
+    {"cmp_lt_i32", Gcn3Op::V_CMP_LT_I32, 0xffffffffu, 1, 1},
+    {"cmp_lt_f32", Gcn3Op::V_CMP_LT_F32, f2b(-2.0f), f2b(-1.0f), 1},
+    {"cmp_lt_f64", Gcn3Op::V_CMP_LT_F64, d2b(-2.0), d2b(-1.0), 1},
 };
 
 class Gcn3ValuSweep : public ::testing::TestWithParam<ValuCase>
@@ -83,6 +193,8 @@ class Gcn3ValuSweep : public ::testing::TestWithParam<ValuCase>
 
 TEST_P(Gcn3ValuSweep, MatchesHostSemantics)
 {
+    using gcn3::Dst;
+    using gcn3::Src;
     const ValuCase &c = GetParam();
     mem::FunctionalMemory m;
     arch::WfState st;
@@ -90,16 +202,63 @@ TEST_P(Gcn3ValuSweep, MatchesHostSemantics)
     st.memory = &m;
     st.vregs.assign(8, arch::LaneVec{});
     st.initLaunch(~0ull);
-    for (unsigned lane = 0; lane < 64; ++lane) {
-        st.writeVreg(1, lane, c.a);
-        st.writeVreg(2, lane, c.b);
+    const uint64_t checked = 1ull | (1ull << 63); // the lanes checked
+    st.vcc = c.vccIn ? checked : 0;
+
+    // Sources in v[2:3], v[4:5], v[6:7]; the result in v[0:1], or in
+    // the source it aliases.
+    const Src s0 = Src::vgpr(2), s1 = Src::vgpr(4), s2 = Src::vgpr(6);
+    const unsigned dreg = c.dstIs < 0 ? 0 : 2 + 2 * unsigned(c.dstIs);
+    const Dst dst = Dst::vgpr(dreg);
+    std::unique_ptr<gcn3::Gcn3Inst> inst;
+    switch (gcn3::opFormat(c.op)) {
+      case gcn3::Format::VOP1:
+        inst.reset(gcn3::Gcn3Inst::vop1(c.op, dst, s0));
+        break;
+      case gcn3::Format::VOP2:
+        inst.reset(gcn3::Gcn3Inst::vop2(c.op, dst, s0, s1));
+        break;
+      case gcn3::Format::VOPC:
+        inst.reset(gcn3::Gcn3Inst::vcmp(c.op, s0, s1));
+        break;
+      default:
+        inst.reset(gcn3::Gcn3Inst::vop3(c.op, dst, s0, s1, s2));
+        break;
     }
-    std::unique_ptr<gcn3::Gcn3Inst> inst(gcn3::Gcn3Inst::vop2(
-        c.op, gcn3::Dst::vgpr(3), gcn3::Src::vgpr(1),
-        gcn3::Src::vgpr(2)));
+    // The widths the instruction declares decide what is a pair.
+    unsigned width[8] = {};
+    for (const auto &o : inst->regOps())
+        if (o.cls == arch::RegClass::Vector)
+            width[o.idx] = o.width;
+    auto put = [&](unsigned reg, uint64_t v) {
+        for (unsigned lane = 0; lane < 64; ++lane) {
+            if (width[reg] == 2)
+                st.writeVreg64(reg, lane, v);
+            else
+                st.writeVreg(reg, lane, uint32_t(v));
+        }
+    };
+    put(dreg, c.d); // first: an aliased source overwrites it
+    put(2, c.a);
+    put(4, c.b);
+    put(6, c.c);
+
     inst->execute(st);
-    EXPECT_EQ(st.readVreg(3, 0), c.expect) << c.name;
-    EXPECT_EQ(st.readVreg(3, 63), c.expect) << c.name;
+    // A compare's result is its VCC bit; every other op must leave VCC
+    // as vccOut says.
+    const bool cmp = gcn3::opFormat(c.op) == gcn3::Format::VOPC;
+    const uint64_t vcc = cmp ? c.expect
+                       : c.vccOut < 0 ? uint64_t(c.vccIn)
+                                      : uint64_t(c.vccOut);
+    EXPECT_EQ(st.vcc & 1, vcc) << c.name << " VCC lane 0";
+    EXPECT_EQ(st.vcc >> 63, vcc) << c.name << " VCC lane 63";
+    if (cmp)
+        return;
+    for (unsigned lane : {0u, 63u}) {
+        const uint64_t got = width[dreg] == 2 ? st.readVreg64(dreg, lane)
+                                              : st.readVreg(dreg, lane);
+        EXPECT_EQ(got, c.expect) << c.name << " lane " << lane;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ops, Gcn3ValuSweep,
