@@ -548,21 +548,33 @@ ComputeUnit::probeVectorOperands(Wavefront &wf, const arch::ExecMeta &m,
         unsigned reg = regs[i];
         // A wide operand must fit inside the allocated register file;
         // the builder/finalizer guarantee this, the probe relies on it.
-        assert(size_t(reg) < wf.lastVregTouch.size());
+        assert(size_t(reg) < wf.vregProbe.size());
+        Wavefront::VregProbe &probe = wf.vregProbe[reg];
 
         // Reuse distance (count each access once, on the read
         // pass for srcs and write pass for defs).
-        uint64_t &last = wf.lastVregTouch[reg];
-        if (last != UINT64_MAX)
-            vregReuseDist.sample(wf.dynInstCount - last);
-        last = wf.dynInstCount;
+        if (probe.lastTouch != UINT64_MAX)
+            vregReuseDist.sample(wf.dynInstCount - probe.lastTouch);
+        probe.lastTouch = wf.dynInstCount;
 
         // Lane-value uniqueness: exact distinct-value count over
         // the active lanes via the scratch hash (identical to
-        // sort+unique, without the copy or the ordering work).
-        if (lanes == 0)
+        // sort+unique, without the copy or the ordering work). A read
+        // under the mask of the register's last probe reuses that
+        // probe's count (Wavefront::VregProbe); a def always recounts.
+        if (lanes == 0) {
+            if (defs)
+                probe.uniqMask = 0;
             continue;
-        unsigned uniq = laneUniq.count(st.vregs[reg].data(), mask);
+        }
+        unsigned uniq;
+        if (!defs && probe.uniqMask == mask) {
+            uniq = probe.uniqCount;
+        } else {
+            uniq = laneUniq.count(st.vregs[reg].data(), mask);
+            probe.uniqMask = mask;
+            probe.uniqCount = uint8_t(uniq);
+        }
         double ratio = double(uniq) / double(lanes);
         if (defs)
             vrfWriteUniq.sample(ratio);
@@ -756,8 +768,14 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
     if (st.rs.size() > rs_before)
         rsDepth.sample(st.rs.size());
 
-    if (vector_op)
+    if (vector_op) {
         probeVectorOperands(wf, m, true);
+    } else {
+        // A vector def off the vector pipes (PTXL's LDC runs on SMem)
+        // gets no def probe, so its memo entries are dropped instead.
+        for (unsigned i = 0; i < m.numVecWr; ++i)
+            wf.vregProbe[m.vecWr[i]].uniqMask = 0;
+    }
 
     // --- functional unit occupancy (bank conflicts add gather
     // cycles) ---

@@ -99,9 +99,24 @@ class Wavefront
     std::vector<Cycle> vregReady;
     std::vector<Cycle> sregReady;
 
-    /** Reuse-distance probe state: dynamic-instruction index of the
-     *  last access to each architectural vector register. */
-    std::vector<uint64_t> lastVregTouch;
+    /** Statistic probe state of one architectural vector register. */
+    struct VregProbe
+    {
+        /** Reuse distance: dynamic-instruction index of the last
+         *  access (UINT64_MAX = none). */
+        uint64_t lastTouch = UINT64_MAX;
+        /** @{ Uniqueness memo: the exec mask and distinct-value count
+         *  of the register's last uniqueness probe (mask 0 = none). A
+         *  read probe under the same mask reuses the count; a def
+         *  probe recounts, and every issued instruction clears the
+         *  entries of its declared vector defs, so an entry always
+         *  counts the register's current values (handlers write only
+         *  their declared defs). */
+        uint64_t uniqMask = 0;
+        uint8_t uniqCount = 0;
+        /** @} */
+    };
+    std::vector<VregProbe> vregProbe;
     uint64_t dynInstCount = 0;
 
     bool active = false; ///< slot occupied
@@ -125,7 +140,7 @@ class Wavefront
         st.vregs.assign(nvregs, arch::LaneVec{});
         vregReady.assign(nvregs, 0);
         sregReady.assign(128, 0);
-        lastVregTouch.assign(nvregs, UINT64_MAX);
+        vregProbe.assign(nvregs, VregProbe{});
         dynInstCount = 0;
         pcIdx = 0;
         ibCount = 0;

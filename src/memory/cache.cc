@@ -29,6 +29,11 @@ Cache::Cache(const std::string &name, const CacheConfig &cfg_,
     lastUse.assign(size_t(numSets) * ways, 0);
     dirty.assign(size_t(numSets) * ways, 0);
     validCount.assign(numSets, 0);
+    panic_if(num_lines + numSets > UINT32_MAX,
+             "too many lines for the recency lists");
+    lru.resize(num_lines + numSets);
+    for (unsigned s = 0; s < numSets; ++s)
+        lru[sentinel(s)] = {sentinel(s), sentinel(s)};
     useWayIndex = ways > 16;
     if (useWayIndex)
         wayIndex.init(num_lines);
@@ -63,34 +68,54 @@ Cache::findLine(Addr line_addr) const
 }
 
 size_t
-Cache::victimLine(Addr line_addr, Cycle now)
+Cache::victimLine(unsigned set, Cycle now)
 {
-    unsigned set = setIndex(line_addr);
     size_t base = size_t(set) * ways;
     // First invalid way wins; valid ways are a prefix, so it is just
     // the valid count.
     if (validCount[set] < ways)
         return base + validCount[set]++;
-    // Full set: LRU victim, lowest way index on lastUse ties (the
-    // strict < keeps the first minimum, same as the reference scan).
-    const Cycle *use = lastUse.data() + base;
-    unsigned victim = 0;
-    for (unsigned w = 1; w < ways; ++w)
-        if (use[w] < use[victim])
-            victim = w;
-    if (dirty[base + victim]) {
+    // Full set: the LRU victim heads the recency list.
+    size_t victim = lru[sentinel(set)].next;
+    unlinkLru(victim);
+    if (dirty[victim]) {
         // Account the writeback as bandwidth on the next level.
         ++writebacks;
         if (next)
-            next->access(tags[base + victim] * cfg.lineBytes, true, now);
+            next->access(tags[victim] * cfg.lineBytes, true, now);
     }
-    return base + victim;
+    return victim;
+}
+
+void
+Cache::unlinkLru(size_t line)
+{
+    const Link l = lru[line];
+    lru[l.prev].next = l.next;
+    lru[l.next].prev = l.prev;
+}
+
+void
+Cache::linkLru(size_t line, unsigned set, Cycle now)
+{
+    lastUse[line] = now;
+    // Walk back from the most recent entry to the first one ordered
+    // before (now, line); line indices order like ways within a set.
+    const uint32_t head = sentinel(set);
+    uint32_t p = lru[head].prev;
+    while (p != head &&
+           (lastUse[p] > now || (lastUse[p] == now && p > line)))
+        p = lru[p].prev;
+    const uint32_t n = lru[p].next;
+    lru[line] = {p, n};
+    lru[p].next = lru[n].prev = uint32_t(line);
 }
 
 Cycle
 Cache::access(Addr addr, bool is_write, Cycle now)
 {
     Addr la = lineAddr(addr);
+    unsigned set = setIndex(la);
 
     // Lazily retire MSHRs whose fill completed in the past.
     auto mshr = mshrs.find(la);
@@ -104,7 +129,8 @@ Cache::access(Addr addr, bool is_write, Cycle now)
     size_t line = findLine(la);
     if (line != NoWay) {
         ++hits;
-        lastUse[line] = now;
+        unlinkLru(line);
+        linkLru(line, set, now);
         if (is_write) {
             if (cfg.writeBack) {
                 dirty[line] = 1;
@@ -144,7 +170,7 @@ Cache::access(Addr addr, bool is_write, Cycle now)
         mshrs[la] = fill;
         if (!mshrMaxDirty)
             mshrMaxFill = std::max(mshrMaxFill, fill);
-        size_t victim = victimLine(la, now);
+        size_t victim = victimLine(set, now);
         if (useWayIndex) {
             if (tags[victim] != InvalidAddr)
                 wayIndex.erase(tags[victim]);
@@ -152,7 +178,7 @@ Cache::access(Addr addr, bool is_write, Cycle now)
         }
         tags[victim] = la;
         dirty[victim] = 0;
-        lastUse[victim] = now;
+        linkLru(victim, set, now);
         if (is_write) {
             if (cfg.writeBack)
                 dirty[victim] = 1;
@@ -190,6 +216,8 @@ Cache::invalidateAll()
     std::fill(lastUse.begin(), lastUse.end(), Cycle(0));
     std::fill(dirty.begin(), dirty.end(), uint8_t(0));
     std::fill(validCount.begin(), validCount.end(), 0u);
+    for (unsigned s = 0; s < numSets; ++s)
+        lru[sentinel(s)] = {sentinel(s), sentinel(s)};
     wayIndex.clear();
     mshrs.clear();
     mshrMaxFill = 0;

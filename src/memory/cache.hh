@@ -85,20 +85,23 @@ class Cache : public MemLevel, public stats::Group
 
   private:
     /**
-     * Tag/LRU state in structure-of-arrays layout: the paper's Table 4
-     * L1D is fully associative (256 ways), so the per-access tag probe
-     * and the per-miss LRU victim search are whole-set linear scans.
-     * Keeping tags contiguous lets the compiler vectorize those scans;
-     * a per-set valid count makes the first-invalid victim pick O(1).
-     * The decisions (hit way, victim way, LRU order, tie-breaks) are
-     * bit-identical to the naive array-of-structs scan.
+     * Tag/LRU state in structure-of-arrays layout. The paper's Table 4
+     * L1D is fully associative (256 ways), so neither the tag probe
+     * nor the victim pick may scan a set: tags are found through
+     * `wayIndex` (below) when sets are wide, and the victim is the
+     * head of the set's recency list. A per-set valid count makes the
+     * first-invalid victim pick O(1). The decisions (hit way, victim
+     * way, LRU order, tie-breaks) are bit-identical to the naive
+     * array-of-structs scan.
      */
     static constexpr size_t NoWay = size_t(-1);
 
     Addr lineAddr(Addr addr) const { return addr >> lineShift; }
     unsigned setIndex(Addr line_addr) const;
     size_t findLine(Addr line_addr) const;
-    size_t victimLine(Addr line_addr, Cycle now);
+    size_t victimLine(unsigned set, Cycle now);
+    void unlinkLru(size_t line);
+    void linkLru(size_t line, unsigned set, Cycle now);
 
     CacheConfig cfg;
     MemLevel *next;
@@ -113,6 +116,29 @@ class Cache : public MemLevel, public stats::Group
     std::vector<uint8_t> dirty;
     std::vector<unsigned> validCount; ///< per set
     /** @} */
+
+    /**
+     * Recency lists: each set's valid ways, circularly doubly linked
+     * in ascending (lastUse, way) order through a per-set sentinel, so
+     * the first entry is exactly the scan's victim — the strict
+     * minimum lastUse, lowest way on ties. A touch relinks its line by
+     * walking back from the last entry to the first one ordered before
+     * (now, way). That walk is exact for any order of `now` and O(1)
+     * when `now` never falls (the L1D: its one VMem pipe issues line i
+     * at start + i); the shared L1I, SQC and L2 interleave callers,
+     * and there it takes at most `ways` steps. Entries 0..lines-1 are
+     * the lines; entry lines + s is set s's sentinel.
+     */
+    struct Link
+    {
+        uint32_t prev, next;
+    };
+    std::vector<Link> lru;
+    uint32_t
+    sentinel(unsigned set) const
+    {
+        return uint32_t(tags.size() + set);
+    }
 
     /**
      * Exact line-addr -> way index, maintained iff the configuration

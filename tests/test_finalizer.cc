@@ -357,9 +357,11 @@ TEST(FinalizerCode, ResourceMetadataPlausible)
     EXPECT_EQ(st.vgprsUsed, code->vregsUsed);
     // Every emitted vector register must be within the declared count.
     for (size_t i = 0; i < code->numInsts(); ++i)
-        for (const auto &op : code->inst(i).regOps())
-            if (op.cls == arch::RegClass::Vector)
+        for (const auto &op : code->inst(i).regOps()) {
+            if (op.cls == arch::RegClass::Vector) {
                 EXPECT_LT(op.idx + op.width - 1, code->vregsUsed);
+            }
+        }
 }
 
 TEST(RegAlloc, CompactionShrinksAndPreservesSemantics)

@@ -26,7 +26,6 @@ buildSimple(Body body)
     return {std::move(il.code), result};
 }
 
-uint32_t f2b(float f) { return std::bit_cast<uint32_t>(f); }
 float b2f(uint32_t b) { return std::bit_cast<float>(b); }
 
 } // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <tuple>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
 #include "common/config.hh"
 #include "memory/cache.hh"
 #include "memory/dram.hh"
@@ -172,6 +179,220 @@ TEST(Cache, InvalidateAll)
     c.access(0x40, false, 0);
     c.invalidateAll();
     EXPECT_FALSE(c.isCached(0x40));
+}
+
+namespace
+{
+
+/** Next level that logs every access and answers after a latency that
+ *  varies with the line, so fills complete out of order. */
+class LogNext : public MemLevel
+{
+  public:
+    Cycle
+    access(Addr addr, bool is_write, Cycle now) override
+    {
+        log.emplace_back(addr, is_write, now);
+        return now + 20 + (addr / 64) % 13;
+    }
+    std::vector<std::tuple<Addr, bool, Cycle>> log;
+};
+
+/**
+ * The cache as it was before the recency list: an array-of-structs
+ * set scan for the tag, the first invalid way or else the strict
+ * minimum lastUse (lowest way on ties) as the victim, lazily retired
+ * MSHRs that serialize behind the latest outstanding fill when all
+ * are busy, and a writeback of a dirty victim.
+ */
+class ScanCache
+{
+  public:
+    ScanCache(const CacheConfig &cfg, MemLevel *next) : cfg(cfg), next(next)
+    {
+        uint64_t lines = cfg.sizeBytes / cfg.lineBytes;
+        ways = cfg.associativity ? cfg.associativity : unsigned(lines);
+        sets = unsigned(lines / ways);
+        way.resize(lines);
+    }
+
+    Cycle
+    access(Addr addr, bool is_write, Cycle now)
+    {
+        Addr la = addr / cfg.lineBytes;
+        auto mshr = mshrs.find(la);
+        if (mshr != mshrs.end() && mshr->second <= now)
+            mshrs.erase(mshr), mshr = mshrs.end();
+        Way *set = &way[size_t(la % sets) * ways];
+        Way *line = nullptr;
+        for (unsigned w = 0; w < ways; ++w)
+            if (set[w].valid && set[w].tag == la)
+                line = &set[w];
+        Cycle done;
+        if (line) {
+            ++hits;
+            line->lastUse = now;
+            if (is_write) {
+                if (cfg.writeBack)
+                    line->dirty = true;
+                else
+                    next->access(addr, true, now);
+            }
+            done = now + cfg.hitLatency;
+            if (mshr != mshrs.end())
+                done = std::max(done, mshr->second);
+        } else if (mshr != mshrs.end()) {
+            ++mshrMerges;
+            done = mshr->second;
+            if (is_write && !cfg.writeBack)
+                next->access(addr, true, now);
+        } else {
+            ++misses;
+            Cycle fill = next->access(addr, false, now) + cfg.hitLatency;
+            if (mshrs.size() >= cfg.mshrs) {
+                Cycle latest = 0;
+                for (const auto &kv : mshrs)
+                    latest = std::max(latest, kv.second);
+                fill = std::max(fill, latest) + 1;
+            }
+            mshrs[la] = fill;
+            Way *victim = nullptr;
+            for (unsigned w = 0; w < ways && !victim; ++w)
+                if (!set[w].valid)
+                    victim = &set[w];
+            if (!victim) {
+                victim = &set[0];
+                for (unsigned w = 1; w < ways; ++w)
+                    if (set[w].lastUse < victim->lastUse)
+                        victim = &set[w];
+                if (victim->dirty) {
+                    ++writebacks;
+                    next->access(victim->tag * cfg.lineBytes, true, now);
+                }
+                present.erase(victim->tag);
+            }
+            *victim = {true, la, now, is_write && cfg.writeBack};
+            present.insert(la);
+            if (is_write && !cfg.writeBack)
+                next->access(addr, true, now);
+            done = fill;
+        }
+        return done;
+    }
+
+    bool
+    isCached(Addr addr) const
+    {
+        return present.count(addr / cfg.lineBytes);
+    }
+
+    unsigned sets = 0, ways = 0;
+    double hits = 0, misses = 0, mshrMerges = 0, writebacks = 0;
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        Addr tag = 0;
+        Cycle lastUse = 0;
+        bool dirty = false;
+    };
+
+    CacheConfig cfg;
+    MemLevel *next;
+    std::vector<Way> way;
+    std::unordered_map<Addr, Cycle> mshrs;
+    std::unordered_set<Addr> present; ///< line addrs, for isCached
+};
+
+enum class TimeOrder { Monotone, Tied, OutOfOrder };
+
+/**
+ * Drive a Cache and a ScanCache with one random stream of reads and
+ * writes over a few sets, each holding 1.5x its ways, and compare
+ * them after every access: the returned cycle, the four counters and
+ * isCached for every line touched so far.
+ */
+void
+checkAgainstScan(const CacheConfig &cfg, TimeOrder order, uint64_t seed,
+                 unsigned steps)
+{
+    stats::Group root("root");
+    LogNext next, ref_next;
+    Cache c("c", cfg, &next, &root);
+    ScanCache ref(cfg, &ref_next);
+    SCOPED_TRACE(testing::Message() << ref.ways << " ways, time order "
+                                    << int(order) << ", seed " << seed);
+
+    unsigned used_sets = std::min(ref.sets, 4u);
+    unsigned per_set = ref.ways + ref.ways / 2 + 2;
+    std::mt19937_64 rng(seed);
+    std::vector<Addr> touched;
+    std::unordered_set<Addr> seen;
+    Cycle now = 1000, base = 1000;
+    for (unsigned step = 0; step < steps; ++step) {
+        switch (order) {
+          case TimeOrder::Monotone: now += rng() % 3; break;
+          case TimeOrder::Tied: now += rng() % 8 == 0; break;
+          case TimeOrder::OutOfOrder:
+            base += 2;
+            now = base - 40 + rng() % 80;
+            break;
+        }
+        Addr line = rng() % used_sets + (rng() % per_set) * ref.sets;
+        Addr addr = line * cfg.lineBytes + rng() % cfg.lineBytes;
+        bool is_write = rng() % 4 == 0;
+        if (seen.insert(line).second)
+            touched.push_back(line * cfg.lineBytes);
+
+        Cycle got = c.access(addr, is_write, now);
+        Cycle want = ref.access(addr, is_write, now);
+        ASSERT_EQ(got, want) << "step " << step;
+        ASSERT_EQ(c.hits.value(), ref.hits) << "step " << step;
+        ASSERT_EQ(c.misses.value(), ref.misses) << "step " << step;
+        ASSERT_EQ(c.mshrMerges.value(), ref.mshrMerges) << "step " << step;
+        ASSERT_EQ(c.writebacks.value(), ref.writebacks) << "step " << step;
+        for (Addr a : touched) {
+            ASSERT_EQ(c.isCached(a), ref.isCached(a))
+                << "step " << step << " addr " << a;
+        }
+    }
+    EXPECT_EQ(next.log, ref_next.log);
+    // The stream must exercise every path it compares.
+    EXPECT_GT(ref.hits, 0.0);
+    EXPECT_GT(ref.misses, double(used_sets) * ref.ways);
+    if (cfg.writeBack) {
+        EXPECT_GT(ref.writebacks, 0.0);
+    }
+}
+
+} // namespace
+
+TEST(Cache, VictimOrderMatchesScanL1d)
+{
+    GpuConfig g;
+    for (auto order :
+         {TimeOrder::Monotone, TimeOrder::Tied, TimeOrder::OutOfOrder})
+        checkAgainstScan(g.l1d, order, 11 + unsigned(order), 3000);
+}
+
+TEST(Cache, VictimOrderMatchesScanL2)
+{
+    GpuConfig g;
+    for (auto order :
+         {TimeOrder::Monotone, TimeOrder::Tied, TimeOrder::OutOfOrder})
+        checkAgainstScan(g.l2, order, 21 + unsigned(order), 3000);
+}
+
+TEST(Cache, VictimOrderMatchesScanTwoWay)
+{
+    for (auto order :
+         {TimeOrder::Monotone, TimeOrder::Tied, TimeOrder::OutOfOrder}) {
+        checkAgainstScan(smallCache(), order, 31 + unsigned(order), 3000);
+        CacheConfig wb = smallCache();
+        wb.writeBack = true;
+        checkAgainstScan(wb, order, 41 + unsigned(order), 3000);
+    }
 }
 
 TEST(Dram, ChannelBandwidthSerializes)

@@ -14,11 +14,13 @@
 #include <memory>
 #include <vector>
 
+#include "arch/kernel_code.hh"
 #include "cu/probes.hh"
 #include "finalizer/finalizer.hh"
 #include "finalizer/regalloc.hh"
 #include "gcn3/inst.hh"
 #include "helpers.hh"
+#include "ptxl/inst.hh"
 #include "runtime/runtime.hh"
 #include "sim/parallel.hh"
 
@@ -607,4 +609,76 @@ TEST(ProbeFastPaths, InsertionCoalescingMatchesSortReference)
         for (unsigned i = 0; i < n; ++i)
             EXPECT_EQ(lines[i], ref[i]) << "iter " << iter << " i " << i;
     }
+}
+
+TEST(ProbeFastPaths, UniquenessMemoFollowsMasksAndRewrites)
+{
+    // One PTXL wavefront reads R2 twice under one mask, under a
+    // narrower mask after divergence, after a VALU rewrite, and after
+    // an LDC (an SMem op, so no def probe) rewrites it between two
+    // reads under one mask. Every read and write sample is known by
+    // hand; a memo entry that outlives a write shows as a stale count.
+    using ptxl::PtxlInst;
+    using hsail::DataType;
+    using hsail::Opcode;
+    const hsail::Reg r0{0}, r1{1}, r2{2}, r3{3};
+    const DataType u32 = DataType::U32;
+    arch::KernelCode code(IsaKind::PTXL, "uniq_memo");
+    auto emit = [&](PtxlInst *i) {
+        code.append(std::unique_ptr<arch::Instruction>(i));
+    };
+    emit(PtxlInst::s2r(Opcode::WorkItemId, r0));            // R0 = lane
+    emit(PtxlInst::movImm(u32, r1, 3));
+    emit(PtxlInst::alu(Opcode::Shr, u32, r2, r0, r1));      // 8 values
+    emit(PtxlInst::alu(Opcode::Mov, u32, r3, r2));          // read 1
+    emit(PtxlInst::alu(Opcode::Mov, u32, r3, r2));          // read 2
+    emit(PtxlInst::movImm(u32, r1, 32));
+    emit(PtxlInst::bssy(0));
+    emit(PtxlInst::isetp(hsail::CmpOp::Lt, u32, 0, r0, r1)); // lanes < 32
+    emit(PtxlInst::braIf(0, true, 10));
+    emit(PtxlInst::alu(Opcode::Mov, u32, r3, r2));          // 32 lanes
+    emit(PtxlInst::bsync(0));                               // index 10
+    emit(PtxlInst::alu(Opcode::And, u32, r2, r0, r1));      // 2 values
+    emit(PtxlInst::alu(Opcode::Mov, u32, r3, r2));
+    emit(PtxlInst::ld(hsail::Segment::Kernarg, u32, r2, {}, 0)); // 1 value
+    emit(PtxlInst::alu(Opcode::Mov, u32, r3, r2));
+    emit(PtxlInst::exitProgram());
+    code.seal();
+    code.vregsUsed = 4;
+    code.kernargBytes = 4;
+
+    runtime::Runtime rt;
+    uint32_t arg = 0x1234;
+    rt.dispatch(code, 64, 64, &arg, sizeof arg);
+
+    auto mean = [](const std::vector<double> &v) {
+        double sum = 0;
+        for (double x : v)
+            sum += x;
+        return sum / double(v.size());
+    };
+    const double all = 64, half = 32;
+    // Reads in issue order: SHR (R0, R1), the two full-mask MOVs,
+    // ISETP (R0, R1), the divergent MOV, AND (R0, R1), then R2 after
+    // the AND and after the LDC.
+    const std::vector<double> reads = {
+        64 / all, 1 / all, 8 / all, 8 / all, 64 / all, 1 / all,
+        4 / half, 64 / all, 1 / all, 2 / all, 1 / all};
+    // Writes: S2R, MOV #3, SHR, two MOVs, MOV #32, the divergent MOV,
+    // AND and the two MOVs after it.
+    const std::vector<double> writes = {
+        64 / all, 1 / all, 8 / all, 8 / all, 8 / all, 1 / all,
+        4 / half, 2 / all, 2 / all, 1 / all};
+    unsigned probed = 0;
+    for (unsigned c = 0; c < rt.gpu().numCus(); ++c) {
+        const auto &cu = rt.gpu().computeUnit(c);
+        if (!cu.vrfReadUniq.samples())
+            continue;
+        ++probed;
+        EXPECT_EQ(cu.vrfReadUniq.samples(), reads.size());
+        EXPECT_DOUBLE_EQ(cu.vrfReadUniq.value(), mean(reads));
+        EXPECT_EQ(cu.vrfWriteUniq.samples(), writes.size());
+        EXPECT_DOUBLE_EQ(cu.vrfWriteUniq.value(), mean(writes));
+    }
+    EXPECT_EQ(probed, 1u);
 }
