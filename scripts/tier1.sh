@@ -47,8 +47,8 @@ fi
 # the stress-differential job (three-way cross-ISA agreement and the
 # N×N golden signatures), whose lane-mask/stack manipulation is where
 # out-of-bounds bugs would live — plus the IL and GCN3 lane tables,
-# the GCN3 VALU sweep and the IL's integer corner cases, where UBSan
-# flags any signed overflow — plus the golden cache, which regenerates
+# the GCN3 VALU and IL value sweeps and the IL's integer corner cases,
+# where UBSan flags any signed overflow — plus the golden cache, which regenerates
 # all 42 specs and byte-compares them with last_bench_cache.csv under
 # the sanitizers' build flags — plus the cache model's recency list
 # and the probe memo, index arithmetic over per-line and per-register
@@ -57,7 +57,7 @@ fi
 if cmake -B build-asan -S . -DLAST_ASAN=ON &&
     cmake --build build-asan -j --target last_tests; then
     ./build-asan/tests/last_tests \
-        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*:Ops/IlLaneTable.*:IlLaneSemantics.*:GoldenCache.*:Ops/Gcn3LaneTable.*:Ops/Gcn3ValuSweep.*:Cache.*:ProbeFastPaths.*' ||
+        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*:Ops/IlLaneTable.*:Ops/IlValueSweep.*:IlLaneSemantics.*:GoldenCache.*:Ops/Gcn3LaneTable.*:Ops/Gcn3ValuSweep.*:Cache.*:ProbeFastPaths.*' ||
         fail "ASan/UBSan suite"
 else
     fail "ASan build"

@@ -14,18 +14,27 @@
  *  - `handler`: a flat function pointer resolved from the opcode, so
  *    dispatch is one indirect call with no switch chain. Every ISA
  *    picks it in its predecode() (src/hsail/exec.cc, src/gcn3/exec.cc,
- *    src/ptxl/exec.cc). The hot 32-bit ALU and compare ops of all
- *    three levels run the IL's fast lane kernels (hsail/lane_ops.hh),
- *    ctz-style over the active lanes and autovectorizable over a full
- *    mask: a second implementation beside the reference's laneValue().
- *    Besides a few trivial control handlers, every other class runs
- *    refH (below), which calls the one implementation the reference
- *    execute() also runs (memory through arch/lane_mem.hh, branches,
- *    scalar ops, GCN3's own VALU ops, the 64-bit ALU tail). The
- *    legacy virtual path stays available behind
+ *    src/ptxl/exec.cc). The ALU and compare ops of all three levels,
+ *    at either width, run active-lane handlers that instantiate the
+ *    one implementation of the IL arithmetic (laneValue() in
+ *    hsail/lane_ops.hh) at their (opcode, type), ctz-style over the
+ *    active lanes and autovectorizable over a full mask. Besides a few
+ *    trivial control handlers, every other class runs refH (below),
+ *    which calls the one implementation the reference execute() also
+ *    runs (memory through arch/lane_mem.hh, branches, scalar ops,
+ *    GCN3's own VALU ops, the IL dispatch intrinsics, PTXL's ISETP,
+ *    SEL and P2R). So the two engines differ only in dispatch and
+ *    operand plumbing. The legacy virtual path stays available behind
  *    GpuConfig::execReference and must produce bit-identical results
- *    (enforced by tests/test_exec_engine.cc and tests/test_ptxl.cc).
- *  - flags/fu/size/latClass: the virtual metadata, pre-flattened.
+ *    (enforced by tests/test_exec_engine.cc and tests/test_ptxl.cc),
+ *    save where IEEE 754 leaves an F32 or F64 result open: the NaN
+ *    payload of an op on two NaNs and the zero min/max return for +0
+ *    and -0 may differ between the handler's folded copy of
+ *    laneValue() and the reference's switched one (the lane tables in
+ *    tests/test_lane_ops.cc require a NaN, or a zero, from both there).
+ *    No workload feeds such operands.
+ *  - flags/fu/size: the virtual metadata, pre-flattened; latency()
+ *    derives the result latency from fu and flags.
  *  - `interlocked`: the level's dependence policy, so the CU's issue
  *    path never asks which ISA it runs.
  *  - `ops`: the RegOperand list copied into a fixed array (same
@@ -60,20 +69,6 @@ struct ExecMeta;
  *  active lanes of `wf` (bit-identical to `m.inst->execute(wf)`). */
 using ExecHandler = void (*)(const ExecMeta &m, WfState &wf);
 
-/** Latency class, resolved to cycles against a GpuConfig at issue
- *  time (the config's latency knobs are sweep parameters, so cycles
- *  cannot be baked in at predecode). Mirrors Instruction::latency. */
-enum class LatClass : uint8_t
-{
-    VAlu,    ///< cfg.valuLatency
-    VAluF64, ///< cfg.valuLatencyF64 (F64 or transcendental)
-    SAlu,    ///< cfg.saluLatency
-    Branch,  ///< cfg.branchLatency
-    Lds,     ///< cfg.ldsLatency
-    Mem,     ///< 0: timing comes from the memory system
-    Special, ///< 1
-};
-
 struct ExecMeta
 {
     /** Bounds for the fixed operand arrays. The widest real cases:
@@ -90,7 +85,6 @@ struct ExecMeta
 
     uint32_t flags = 0;             ///< InstFlags, pre-flattened
     FuType fu = FuType::Special;
-    LatClass latClass = LatClass::Special;
     uint8_t size = 0;               ///< encoded bytes (4..16)
 
     /** Dependence policy, set by the ISA's predecode(). An interlocked
@@ -124,20 +118,26 @@ struct ExecMeta
 
     bool is(InstFlags f) const { return (flags & f) != 0; }
 
-    /** Result latency in cycles; bit-identical to
-     *  Instruction::latency(cfg) (asserted per instruction by
-     *  tests/test_exec_engine.cc). */
+    /**
+     * Result latency in cycles (beyond issue), resolved against `cfg`
+     * at issue time: the config's latency knobs are sweep parameters,
+     * so cycles cannot be baked in at predecode. A double-precision or
+     * transcendental VALU op takes valuLatencyF64; memory timing comes
+     * from the memory system.
+     */
     unsigned
     latency(const GpuConfig &cfg) const
     {
-        switch (latClass) {
-          case LatClass::VAlu: return cfg.valuLatency;
-          case LatClass::VAluF64: return cfg.valuLatencyF64;
-          case LatClass::SAlu: return cfg.saluLatency;
-          case LatClass::Branch: return cfg.branchLatency;
-          case LatClass::Lds: return cfg.ldsLatency;
-          case LatClass::Mem: return 0;
-          case LatClass::Special: return 1;
+        switch (fu) {
+          case FuType::VAlu:
+            return is(IsF64) || is(IsTrans) ? cfg.valuLatencyF64
+                                            : cfg.valuLatency;
+          case FuType::SAlu: return cfg.saluLatency;
+          case FuType::Branch: return cfg.branchLatency;
+          case FuType::Lds: return cfg.ldsLatency;
+          case FuType::VMem:
+          case FuType::SMem: return 0;
+          case FuType::Special: return 1;
         }
         return 1;
     }

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hh"
 #include "common/types.hh"
 
 namespace last::arch
@@ -109,7 +108,7 @@ class Instruction
      * fill the ISA-specific ExecMeta fields (the dependence policy,
      * predigested constants). The caller (KernelCode::execMetas) has
      * already flattened the ISA-neutral metadata (flags/fu/size/
-     * latency class/operand arrays) into `m`. Every ISA installs
+     * operand arrays) into `m`. Every ISA installs
      * active-lane kernels for its hot op classes and a non-virtual
      * call of its reference executor for the rest.
      */
@@ -125,9 +124,6 @@ class Instruction
      *  instructions all report 8 (the paper's 64-bit approximation of
      *  BRIG); GCN3 reports 4, 8, or 12; PTXL 16. */
     virtual unsigned sizeBytes() const = 0;
-
-    /** Result latency in cycles (beyond issue). */
-    virtual unsigned latency(const GpuConfig &cfg) const;
 
     bool is(InstFlags f) const { return (flags_ & f) != 0; }
     uint32_t flags() const { return flags_; }

@@ -84,20 +84,6 @@ KernelCode::buildMetas() const
         m.fu = in.fuType();
         m.size = uint8_t(sizeOf(i));
 
-        switch (m.fu) {
-          case FuType::VAlu:
-            m.latClass = (m.is(IsF64) || m.is(IsTrans))
-                             ? LatClass::VAluF64
-                             : LatClass::VAlu;
-            break;
-          case FuType::SAlu: m.latClass = LatClass::SAlu; break;
-          case FuType::Branch: m.latClass = LatClass::Branch; break;
-          case FuType::Lds: m.latClass = LatClass::Lds; break;
-          case FuType::VMem:
-          case FuType::SMem: m.latClass = LatClass::Mem; break;
-          case FuType::Special: m.latClass = LatClass::Special; break;
-        }
-
         const auto &ops = in.regOps();
         panic_if(ops.size() > ExecMeta::MaxOps,
                  "%s: %zu operands exceed ExecMeta::MaxOps",

@@ -4,23 +4,25 @@
  * GCN3 has.
  *
  * Gcn3Inst::predecode resolves each static instruction to one of the
- * flat handlers below. A VALU or VOPC op with an IL twin (ilTwin(),
- * src/gcn3/inst.hh) and 32-bit types runs the IL's fast lane kernel
- * (hsail/lane_ops.hh, shared with HSAIL and PTXL), one instantiation
- * per opcode; the reference execute() runs the IL's reference lane
- * semantics on the same operands, so the lane-table tests compare two
- * implementations. The kernels are fed *resolved operand rows*: each
- * source becomes a stride-1 pointer over 64 lanes up front (a VGPR row
+ * flat handlers below. Every VALU or VOPC op with an IL twin (ilTwin(),
+ * src/gcn3/inst.hh), at either width, runs twinH: the one
+ * implementation of the IL arithmetic (hsail/lane_ops.hh, shared with
+ * HSAIL and PTXL) instantiated at the twin's (opcode, type), the same
+ * laneValue() the reference execute() calls once per lane. The two
+ * engines differ only in dispatch and operand plumbing. The handlers
+ * are fed *resolved operand rows*: each source becomes one stride-1
+ * row over 64 lanes up front, two for a 64-bit source (VGPR rows
  * directly; SGPRs and constants broadcast into a thread-local scratch
  * row; the VOP3 negate modifier folded in), so the inner loop is a
  * branchless elementwise map the compiler can autovectorize.
  *
  * Everything else has one implementation that both engines run: the
  * ops only GCN3 has (executeOwnValu, below, on the same rows), and
- * the reference executors for SALU, SOPP, memory (over the lane body
- * all three levels share, arch/lane_mem.hh) and the 64-bit twins.
+ * the reference executors for SALU, SOPP and memory (over the lane
+ * body all three levels share, arch/lane_mem.hh).
  *
- * Correctness contract: bit-identical to Gcn3Inst::execute(). Lanes
+ * Correctness contract: bit-identical to Gcn3Inst::execute(), save the
+ * float results IEEE 754 leaves open (see arch/exec_meta.hh). Lanes
  * run in ascending order, SGPR broadcast is exact because no VALU op
  * writes scalar state mid-loop, and the differential suite in
  * tests/test_exec_engine.cc compares every workload field for field
@@ -42,9 +44,10 @@ namespace last::gcn3
 namespace
 {
 
-/** Scratch rows for broadcast/negated operands; thread-local because
- *  the parallel sweep driver executes wavefronts on many threads. */
-thread_local arch::LaneVec t_row[3];
+/** Scratch rows (low and high word) for broadcast/negated operands;
+ *  thread-local because the parallel sweep driver executes wavefronts
+ *  on many threads. */
+thread_local arch::LaneVec t_row[3][2];
 
 } // namespace
 
@@ -60,104 +63,88 @@ struct Gcn3Exec
     }
 
     /**
-     * Resolve source operand `i` to a stride-1 row of 64 lane values,
-     * value-identical to readSrc32(wf, i, lane) for every lane. VGPRs
-     * without a negate modifier return the register row itself; every
-     * other case broadcasts or copies into t_row[slot]. Hoisting the
-     * SGPR read out of the lane loop is exact: no VALU/VOPC op writes
-     * SGPRs, VCC, or EXEC mid-loop.
+     * Resolve source operand `i`, read as `regs` 32-bit registers, to
+     * stride-1 rows of 64 lane values: lane l of the rows is
+     * readSrc32(wf, i, l), or readSrc64 for a pair. A VGPR is its own
+     * register rows, except that a negate modifier copies the row that
+     * holds the sign bit into t_row[slot] with the bit flipped; an SGPR
+     * or a constant broadcasts its readSrc value there. Hoisting that
+     * read out of the lane loop is exact: no VALU/VOPC op writes SGPRs,
+     * VCC, or EXEC mid-loop.
      */
-    static const uint32_t *
-    row32(const Gcn3Inst &I, const Wf &wf, unsigned i, unsigned slot)
+    static hsail::LaneRows
+    rows(const Gcn3Inst &I, const Wf &wf, unsigned i, unsigned slot,
+         unsigned regs)
     {
         const Src &s = I.srcs[i];
-        arch::LaneVec &scratch = t_row[slot];
-        const uint32_t neg =
-            (I.negMask & (1u << i)) ? 0x80000000u : 0;
-        switch (s.kind) {
-          case Src::Kind::Vgpr: {
-            const uint32_t *p = wf.vregs[s.reg].data();
-            if (!neg)
-                return p;
-            for (unsigned l = 0; l < WavefrontSize; ++l)
-                scratch[l] = p[l] ^ neg;
-            return scratch.data();
-          }
-          case Src::Kind::Sgpr:
-            scratch.fill(wf.readSgpr(s.reg) ^ neg);
-            return scratch.data();
-          case Src::Kind::InlineConst:
-          case Src::Kind::Literal:
-            scratch.fill(s.value ^ neg);
-            return scratch.data();
-          case Src::Kind::InlineConstF64: // low dword is zero
-          case Src::Kind::None:
-            scratch.fill(neg);
-            return scratch.data();
+        arch::LaneVec(&scratch)[2] = t_row[slot];
+        if (s.kind == Src::Kind::Vgpr) {
+            hsail::LaneRows r = hsail::regRows(wf, s.reg, regs);
+            if (I.negMask & (1u << i)) {
+                const uint32_t *&sign = regs == 2 ? r.hi : r.lo;
+                for (unsigned l = 0; l < WavefrontSize; ++l)
+                    scratch[1][l] = sign[l] ^ 0x80000000u;
+                sign = scratch[1].data();
+            }
+            return r;
         }
-        scratch.fill(0);
-        return scratch.data();
+        const uint64_t v =
+            regs == 2 ? I.readSrc64(wf, i, 0) : I.readSrc32(wf, i, 0);
+        scratch[0].fill(uint32_t(v));
+        if (regs != 2)
+            return {scratch[0].data(), nullptr};
+        scratch[1].fill(uint32_t(v >> 32));
+        return {scratch[0].data(), scratch[1].data()};
     }
 
-    /** A 32-bit VALU/VOPC op with an IL twin: the IL's fast kernel over
-     *  resolved rows, one instantiation per opcode. */
+    /** A VALU/VOPC op with an IL twin: the IL arithmetic at the twin's
+     *  constant (opcode, type) over resolved rows. */
     template <Gcn3Op OP>
     static void
     twinH(const Meta &m, Wf &wf)
     {
         using hsail::Opcode;
         constexpr IlTwin T = ilTwin(OP);
+        constexpr unsigned W = hsail::resultRegs(T.op, T.type);
         const Gcn3Inst &I = inst(m);
         wf.nextPc = wf.pc + m.size;
 
         // VOPC has no destination row (and a kernel may have no VGPR).
-        uint32_t *d = nullptr;
-        if constexpr (T.op != Opcode::Cmp)
-            d = wf.vregs[I.dst.reg].data();
-        const uint32_t *s[3] = {};
-        for (unsigned i = 0; i < 3; ++i)
-            s[i] = i >= hsail::aluArity(T.op) ? s[0]
-                 : T.src[i] == IlTwin::DstRow ? d
-                 : row32(I, wf, T.src[i], i);
-        const uint32_t *a = s[0], *b = s[1], *c = s[2];
+        uint32_t *d0 = nullptr, *d1 = nullptr;
+        if constexpr (T.op != Opcode::Cmp) {
+            d0 = wf.vregs[I.dst.reg].data();
+            if constexpr (W == 2)
+                d1 = wf.vregs[I.dst.reg + 1].data();
+        }
+        hsail::LaneRows s[3];
+        for (unsigned i = 0; i < hsail::aluArity(T.op); ++i)
+            s[i] = T.src[i] == IlTwin::DstRow
+                ? hsail::LaneRows{d0, d1}
+                : rows(I, wf, T.src[i], i,
+                       hsail::sourceRegs(T.op, T.type, T.srcType, i));
+        auto lane = [=](unsigned l) {
+            return hsail::laneAt<T.op, T.type, T.srcType, T.cmp>(s, 0, l);
+        };
 
         if constexpr (T.op == Opcode::Cmp) {
             // VCC gets the result mask; inactive lanes read 0.
-            const uint64_t exec = wf.exec;
             uint64_t result = 0;
-            if (exec == ~0ull) {
-                for (unsigned l = 0; l < WavefrontSize; ++l)
-                    result |= uint64_t(hsail::laneCmp32<T.cmp, T.type>(
-                                  a[l], b[l])) << l;
-            } else {
-                for (uint64_t rest = exec; rest; rest &= rest - 1) {
-                    unsigned l = unsigned(std::countr_zero(rest));
-                    result |= uint64_t(hsail::laneCmp32<T.cmp, T.type>(
-                                  a[l], b[l])) << l;
-                }
-            }
+            hsail::forLanes(wf.exec, [&](unsigned l) {
+                result |= lane(l) << l;
+            });
             wf.vcc = result;
-        } else if constexpr (T.op == Opcode::Cvt) {
-            // The reference conversion itself, at constant types.
-            hsail::forLanes(wf.exec, d, [=](unsigned l) {
-                return uint32_t(hsail::laneCvt(T.type, T.srcType, a[l]));
-            });
         } else {
-            hsail::forLanes(wf.exec, d, [=](unsigned l) {
-                return hsail::lane32<T.op, T.type>(a[l], b[l], c[l]);
-            });
+            hsail::writeLanes<W>(wf.exec, d0, d1, lane);
         }
     }
 
-    /** twinH<OP> for a twin whose every type is 32-bit, else nullptr. */
+    /** twinH<OP> for an opcode with an IL twin, else nullptr. */
     template <size_t... Ops>
     static constexpr auto
     twinTable(std::index_sequence<Ops...>)
     {
         auto one = []<Gcn3Op OP>() -> arch::ExecHandler {
-            constexpr IlTwin T = ilTwin(OP);
-            if constexpr (T.valid() && hsail::typeRegs(T.type) == 1 &&
-                          hsail::typeRegs(T.srcType) == 1)
+            if constexpr (ilTwin(OP).valid())
                 return &twinH<OP>;
             else
                 return nullptr;
@@ -185,12 +172,9 @@ struct Gcn3Exec
           case Format::VOP1:
           case Format::VOP2:
           case Format::VOP3:
-            if (!ilTwin(I.opc).valid())
-                return &arch::refH<Gcn3Inst, &Gcn3Inst::executeOwnValu>;
             if (arch::ExecHandler h = twins[size_t(I.opc)])
                 return h;
-            // The 64-bit twins.
-            return &arch::refH<Gcn3Inst, &Gcn3Inst::executeValu>;
+            return &arch::refH<Gcn3Inst, &Gcn3Inst::executeOwnValu>;
           case Format::FLAT:
             return &arch::refH<Gcn3Inst, &Gcn3Inst::executeFlat>;
           case Format::DS:
@@ -206,26 +190,28 @@ Gcn3Inst::executeOwnValu(arch::WfState &wf) const
     const uint64_t exec = wf.exec;
     const uint64_t vcc = wf.vcc;
     uint32_t *d = wf.vregs[dst.reg].data();
-    auto row = [&](unsigned i) { return Gcn3Exec::row32(*this, wf, i, i); };
+    auto row = [&](unsigned i) {
+        return Gcn3Exec::rows(*this, wf, i, i, 1).lo;
+    };
 
     switch (opc) {
       case Gcn3Op::V_RCP_F32: {
         const uint32_t *a = row(0);
-        hsail::forLanes(exec, d, [=](unsigned l) {
+        hsail::writeLanes<1>(exec, d, nullptr, [=](unsigned l) {
             return hsail::fromF32(1.0f / hsail::asF32(a[l]));
         });
         return;
       }
       case Gcn3Op::V_CNDMASK_B32: {
         const uint32_t *a = row(0), *b = row(1);
-        hsail::forLanes(exec, d, [=](unsigned l) {
+        hsail::writeLanes<1>(exec, d, nullptr, [=](unsigned l) {
             return ((vcc >> l) & 1) ? b[l] : a[l];
         });
         return;
       }
       case Gcn3Op::V_MAD_U32_U24: {
         const uint32_t *a = row(0), *b = row(1), *c = row(2);
-        hsail::forLanes(exec, d, [=](unsigned l) {
+        hsail::writeLanes<1>(exec, d, nullptr, [=](unsigned l) {
             return (a[l] & 0xffffff) * (b[l] & 0xffffff) + c[l];
         });
         return;

@@ -116,6 +116,13 @@ decodeBrig(const BrigBlob &blob)
     for (uint64_t i = 0; i < hdr.numInsts; ++i, off += BrigRecordBytes) {
         BrigRecord rec;
         std::memcpy(&rec, blob.data() + off, sizeof(rec));
+        fatal_if(rec.opcode > uint8_t(Opcode::Nop) ||
+                     rec.dtype > uint8_t(DataType::F64) ||
+                     rec.srcDtype > uint8_t(DataType::F64) ||
+                     rec.segment > uint8_t(Segment::Arg) ||
+                     rec.cmpOp > uint8_t(CmpOp::Ge),
+                 "BRIG record %llu has a field outside its enum",
+                 (unsigned long long)i);
         auto op = Opcode(rec.opcode);
         auto t = DataType(rec.dtype);
         Reg dst{rec.dst};

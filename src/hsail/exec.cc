@@ -3,20 +3,21 @@
  * Direct-threaded execution handlers for HSAIL.
  *
  * HsailInst::predecode resolves each static instruction to one of the
- * flat handlers below. The hot 32-bit ALU and compare classes get the
- * IL's shared active-lane kernels (hsail/lane_ops.hh, also PTXL's and
- * GCN3's), one instantiation per (opcode, data type): the second
- * implementation of the IL lane semantics, beside the reference
- * laneValue(). Everything else has one implementation, the reference
- * executor, called non-virtually: memory (whose lane body,
- * arch/lane_mem.hh, all three levels share), branches, and the cold
- * or wide (64-bit) ALU ops.
+ * flat handlers below. Every ALU op of either width (movimm, cmp and
+ * cvt included) gets an IL active-lane handler (IlAluHandlers in
+ * hsail/lane_ops.hh, shared with PTXL), which instantiates the one
+ * implementation of the IL arithmetic, laneValue(), at its (opcode,
+ * type). The rest runs the reference executor, called non-virtually:
+ * memory (whose lane body, arch/lane_mem.hh, all three levels share),
+ * branches and the dispatch intrinsics.
  *
  * Correctness contract: every handler is bit-identical to the
- * corresponding piece of HsailInst::execute(). The differential suite
- * in tests/test_exec_engine.cc runs every workload both ways and
- * compares field for field, and the lane-table test holds the two ALU
- * implementations to the same bits.
+ * corresponding piece of HsailInst::execute(), save the float results
+ * IEEE 754 leaves open (see arch/exec_meta.hh). The two differ only in
+ * dispatch and operand plumbing; the differential suite in
+ * tests/test_exec_engine.cc runs every workload both ways and compares
+ * field for field, and the lane-table test runs every ALU handler
+ * beside execute() on edge operands.
  */
 
 #include "arch/exec_meta.hh"

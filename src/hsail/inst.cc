@@ -304,23 +304,16 @@ void
 HsailInst::finalizeOperands()
 {
     using arch::RegClass;
-    unsigned dw = unsigned(typeRegs(dtype));
-    unsigned sw = dw;
-    // Source width differs from dest width for conversions and
-    // compares/selects.
-    if (opc == Opcode::Cvt)
-        sw = typeRegs(srcDtype);
-
     if (dstReg.valid()) {
-        unsigned w = (opc == Opcode::Cmp) ? 1 : dw;
-        addOp(RegClass::Vector, dstReg.idx, uint8_t(w), true);
+        addOp(RegClass::Vector, dstReg.idx, uint8_t(resultRegs(opc, dtype)),
+              true);
     }
     for (unsigned s = 0; s < 3; ++s) {
         if (!srcRegs[s].valid())
             continue;
-        unsigned w = sw;
-        if (opc == Opcode::CMov && s == 0)
-            w = 1; // condition register
+        // A value source, st's stored value and atomic_add's addend
+        // included, is sourceRegs() wide.
+        unsigned w = sourceRegs(opc, dtype, srcDtype, s);
         if (opc == Opcode::CBr)
             w = 1;
         if ((opc == Opcode::Ld || opc == Opcode::St ||
@@ -330,8 +323,6 @@ HsailInst::finalizeOperands()
             w = (seg == Segment::Global || seg == Segment::Readonly) ? 2
                                                                      : 1;
         }
-        if (opc == Opcode::St && s == 1)
-            w = dw; // stored value
         addOp(RegClass::Vector, srcRegs[s].idx, uint8_t(w), false);
     }
 }
@@ -367,7 +358,7 @@ void
 HsailInst::executeAlu(arch::WfState &wf) const
 {
     uint64_t mask = wf.activeMask();
-    unsigned dst_regs = (opc == Opcode::Cmp) ? 1 : typeRegs(dtype);
+    unsigned dst_regs = resultRegs(opc, dtype);
     for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
         if (!(mask & (1ull << lane)))
             continue;
@@ -523,12 +514,11 @@ HsailInst::disassemble() const
       default: {
         os << opcodeName(opc) << "_" << typeName(dtype);
         if (dstReg.valid())
-            os << " " << reg(dstReg, opc == Opcode::Cmp ? 1 : w);
+            os << " " << reg(dstReg, resultRegs(opc, dtype));
         for (unsigned s = 0; s < 3; ++s) {
-            if (srcRegs[s].valid()) {
-                unsigned ww = (opc == Opcode::CMov && s == 0) ? 1 : w;
-                os << ", " << reg(srcRegs[s], ww);
-            }
+            if (srcRegs[s].valid())
+                os << ", "
+                   << reg(srcRegs[s], sourceRegs(opc, dtype, srcDtype, s));
         }
         return os.str();
       }

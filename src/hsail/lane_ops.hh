@@ -7,22 +7,22 @@
  * agree functionally by construction; machine lowering must not change
  * an IEEE result.
  *
- * The ALU semantics exist here in two implementations, which the
- * engine differential tests and the lane-table tests compare:
+ * The ALU arithmetic has one implementation, laneValue() (with
+ * laneCompare() and laneCvt()): a switch over (opcode, type) on
+ * operands zero-extended to 64 bits. Both engines run it and differ
+ * only in dispatch and operand plumbing (and, where IEEE 754 leaves an
+ * F32 or F64 result open, possibly in how the compiler settles it; see
+ * arch/exec_meta.hh):
  *
- *  - the reference: laneValue() (with laneCompare() and laneCvt()), a
- *    runtime switch over (opcode, type) on operands zero-extended to
- *    64 bits. The virtual execute() path calls it once per lane
- *    (through laneReference() at the IL levels, which also fetches the
- *    operands);
- *  - the fast kernels: lane32<OP, DT>() and laneCmp32<C, DT>(), one
- *    instantiation per 32-bit (opcode, type), run by forLanes(). The
- *    IL levels' active-lane handlers are IlAluHandlers<Inst>; GCN3's
- *    feed the same kernels its resolved operand rows.
- *    aluTable()/cmpTable() list the pairs that have a kernel.
- *
- * Conversions have one implementation, laneCvt(): GCN3's fast handlers
- * instantiate it at constant types.
+ *  - the reference execute() path calls it once per lane with the
+ *    instruction's fields (through laneReference() at the IL levels,
+ *    which also fetches the operands);
+ *  - the predecoded engine's handlers instantiate it at compile-time
+ *    (opcode, type) constants through laneAt(), so the switch folds
+ *    away and forLanes() runs a flat loop over register rows that the
+ *    compiler can autovectorize. The IL levels' handlers are
+ *    IlAluHandlers<Inst>, one per (opcode, type) in a table generated
+ *    from the enums; GCN3's feed laneAt() its resolved operand rows.
  *
  * The IL's memory instructions are here too, in one implementation
  * both engines run (ilMemory(): the segment addressing over the
@@ -38,9 +38,12 @@
 #define LAST_HSAIL_LANE_OPS_HH
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "arch/exec_meta.hh"
 #include "arch/lane_mem.hh"
@@ -81,42 +84,64 @@ remS32(uint32_t a, uint32_t b)
 }
 /** @} */
 
-/** The reference compare: a and b read at type `t`. */
-inline bool
+/*
+ * laneCompare(), laneCvt() and laneValue() are always inlined, and so
+ * are the lane-loop helpers below that call them. A handler calls them
+ * with constant (opcode, type) arguments, and only inlining folds their
+ * switches into the handler's lane loop. With some 220 instantiations
+ * in one file, GCC's heuristics stop inlining and call the out-of-line
+ * copy once per lane.
+ */
+
+/** `x cmp y`, at the operands' type. */
+template <class T>
+[[gnu::always_inline]] inline bool
+compareAs(CmpOp cmp, T x, T y)
+{
+    switch (cmp) {
+      case CmpOp::Eq: return x == y;
+      case CmpOp::Ne: return x != y;
+      case CmpOp::Lt: return x < y;
+      case CmpOp::Le: return x <= y;
+      case CmpOp::Gt: return x > y;
+      case CmpOp::Ge: return x >= y;
+    }
+    return false;
+}
+
+/** The compare: a and b read at type `t`. */
+[[gnu::always_inline]] inline bool
 laneCompare(CmpOp cmp, DataType t, uint64_t a, uint64_t b)
 {
-    auto docmp = [cmp](auto x, auto y) {
-        switch (cmp) {
-          case CmpOp::Eq: return x == y;
-          case CmpOp::Ne: return x != y;
-          case CmpOp::Lt: return x < y;
-          case CmpOp::Le: return x <= y;
-          case CmpOp::Gt: return x > y;
-          case CmpOp::Ge: return x >= y;
-        }
-        return false;
-    };
     switch (t) {
-      case DataType::F32: return docmp(asF32(uint32_t(a)), asF32(uint32_t(b)));
-      case DataType::F64: return docmp(asF64(a), asF64(b));
-      case DataType::S32: return docmp(int32_t(a), int32_t(b));
-      default: return docmp(a, b);
+      case DataType::F32:
+        return compareAs(cmp, asF32(uint32_t(a)), asF32(uint32_t(b)));
+      case DataType::F64: return compareAs(cmp, asF64(a), asF64(b));
+      case DataType::S32: return compareAs(cmp, int32_t(a), int32_t(b));
+      default: return compareAs(cmp, a, b);
     }
 }
 
 /**
  * The conversion of one lane's source bits `s` (read at type `from`)
  * to type `to`, in the one implementation both engines run. A float
- * converts to a 32-bit integer by truncation. C++ leaves a NaN or an
+ * converts to an integer by truncation. C++ leaves a NaN or an
  * out-of-range value undefined there, and a vectorized loop settles
  * it differently from a scalar one, so the result is fixed here as
  * x86-64's scalar truncations give it: to s32, INT32_MIN; to u32, the
  * low word of the value truncated to 64 bits, and 0 if that does not
- * fit either.
+ * fit either; to u64, the value truncated to 64 bits, two's complement
+ * below 2^63, and 0 from 2^64 up; a NaN or a value below -2^63 reads
+ * 2^63. A conversion to the source's own type copies its bits: going
+ * through double would quiet a signalling F32 NaN in one engine and
+ * not in the other, since GCC folds the round trip at constant types,
+ * and would round a U64 past 2^53.
  */
-inline uint64_t
+[[gnu::always_inline]] inline uint64_t
 laneCvt(DataType to, DataType from, uint64_t s)
 {
+    if (from == to)
+        return s;
     double v;
     switch (from) {
       case DataType::F32: v = asF32(uint32_t(s)); break;
@@ -130,7 +155,10 @@ laneCvt(DataType to, DataType from, uint64_t s)
       case DataType::S32:
         return v > -0x1p31 - 1 && v < 0x1p31
             ? uint64_t(uint32_t(int32_t(v))) : 0x80000000u;
-      case DataType::U64: return uint64_t(v);
+      case DataType::U64:
+        if (v >= 0x1p63)
+            return v < 0x1p64 ? uint64_t(v) : 0;
+        return v >= -0x1p63 ? uint64_t(int64_t(v)) : 0x8000000000000000ull;
       default:
         return v >= -0x1p63 && v < 0x1p63
             ? uint64_t(uint32_t(uint64_t(int64_t(v)))) : 0;
@@ -138,11 +166,11 @@ laneCvt(DataType to, DataType from, uint64_t s)
 }
 
 /**
- * The reference value of one lane of an op whose result is a function
- * of its sources alone, on operands read at type `t` and zero-extended
- * to 64 bits (a missing operand reads 0).
+ * The value of one lane of an op whose result is a function of its
+ * sources alone, on operands read at type `t` and zero-extended to 64
+ * bits (a missing operand reads 0).
  */
-inline uint64_t
+[[gnu::always_inline]] inline uint64_t
 laneValue(Opcode op, DataType t, CmpOp cmp, uint64_t a, uint64_t b,
           uint64_t c)
 {
@@ -273,8 +301,8 @@ laneValue(Opcode op, DataType t, CmpOp cmp, uint64_t a, uint64_t b,
 }
 
 /**
- * The reference value of one lane of any value-producing IL op of an
- * instruction with these fields. A missing source operand reads 0
+ * The reference engine's value of one lane of any value-producing IL
+ * op of an instruction with these fields. A missing source operand reads 0
  * (RZ on PTXL).
  */
 inline uint64_t
@@ -282,149 +310,24 @@ laneReference(const arch::WfState &wf, unsigned lane, Opcode op,
               DataType t, DataType src_t, CmpOp cmp, const Reg (&srcs)[3],
               uint64_t imm)
 {
-    auto rd = [&](Reg r, DataType rt) -> uint64_t {
+    auto rd = [&](unsigned i) -> uint64_t {
+        const Reg r = srcs[i];
         if (!r.valid())
             return 0;
-        return typeRegs(rt) == 2 ? wf.readVreg64(r.idx, lane)
-                                 : uint64_t(wf.readVreg(r.idx, lane));
+        return sourceRegs(op, t, src_t, i) == 2
+            ? wf.readVreg64(r.idx, lane) : uint64_t(wf.readVreg(r.idx, lane));
     };
     switch (op) {
       case Opcode::MovImm: return imm;
-      case Opcode::Cvt: return laneCvt(t, src_t, rd(srcs[0], src_t));
+      case Opcode::Cvt: return laneCvt(t, src_t, rd(0));
       case Opcode::WorkItemAbsId: return wf.globalId(lane);
       case Opcode::WorkItemId: return wf.wfIdInWg * WavefrontSize + lane;
       case Opcode::WorkGroupId: return wf.wgId;
       case Opcode::WorkGroupSize: return wf.wgSize;
       case Opcode::GridSize: return wf.gridSize;
       default:
-        return laneValue(op, t, cmp, rd(srcs[0], t), rd(srcs[1], t),
-                         rd(srcs[2], t));
+        return laneValue(op, t, cmp, rd(0), rd(1), rd(2));
     }
-}
-
-/**
- * One lane of a 32-bit ALU op: the fast kernel. Each expression is the
- * 32-bit reading of its laneValue() case (a zero-extension dropped
- * cannot change a 32-bit result); the lane-table test holds the two to
- * the same bits on edge operands.
- */
-template <Opcode OP, DataType DT>
-inline uint32_t
-lane32(uint32_t a, [[maybe_unused]] uint32_t b, [[maybe_unused]] uint32_t c)
-{
-    if constexpr (OP == Opcode::Add) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) + asF32(b));
-        else
-            return a + b;
-    } else if constexpr (OP == Opcode::Sub) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) - asF32(b));
-        else
-            return a - b;
-    } else if constexpr (OP == Opcode::Mul) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) * asF32(b));
-        else
-            return a * b;
-    } else if constexpr (OP == Opcode::MulHi) {
-        return uint32_t((uint64_t(a) * uint64_t(b)) >> 32);
-    } else if constexpr (OP == Opcode::Mad) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) * asF32(b) + asF32(c));
-        else
-            return a * b + c;
-    } else if constexpr (OP == Opcode::Fma) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fma(asF32(a), asF32(b), asF32(c)));
-        else
-            return a * b + c;
-    } else if constexpr (OP == Opcode::Div) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) / asF32(b));
-        else if constexpr (DT == DataType::S32)
-            return divS32(a, b);
-        else
-            return b == 0 ? 0 : a / b;
-    } else if constexpr (OP == Opcode::Min) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fmin(asF32(a), asF32(b)));
-        else if constexpr (DT == DataType::S32)
-            return uint32_t(std::min(int32_t(a), int32_t(b)));
-        else
-            return std::min(a, b);
-    } else if constexpr (OP == Opcode::Max) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fmax(asF32(a), asF32(b)));
-        else if constexpr (DT == DataType::S32)
-            return uint32_t(std::max(int32_t(a), int32_t(b)));
-        else
-            return std::max(a, b);
-    } else if constexpr (OP == Opcode::Abs) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fabs(asF32(a)));
-        else
-            return absS32(a);
-    } else if constexpr (OP == Opcode::Neg) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(-asF32(a));
-        else
-            return negS32(a);
-    } else if constexpr (OP == Opcode::Sqrt) {
-        return fromF32(std::sqrt(asF32(a))); // at every 32-bit type
-    } else if constexpr (OP == Opcode::And) {
-        return a & b;
-    } else if constexpr (OP == Opcode::Or) {
-        return a | b;
-    } else if constexpr (OP == Opcode::Xor) {
-        return a ^ b;
-    } else if constexpr (OP == Opcode::Not) {
-        return ~a;
-    } else if constexpr (OP == Opcode::Shl) {
-        return a << (b & 31);
-    } else if constexpr (OP == Opcode::Shr) {
-        return a >> (b & 31);
-    } else if constexpr (OP == Opcode::AShr) {
-        return uint32_t(int32_t(a) >> (b & 31));
-    } else if constexpr (OP == Opcode::Bfe) {
-        unsigned off = b & 31;
-        unsigned width = c & 31;
-        uint32_t mask = width == 0 ? 0xffffffffu : ((1u << width) - 1);
-        return (a >> off) & mask;
-    } else if constexpr (OP == Opcode::CMov) {
-        return a ? b : c;
-    } else if constexpr (OP == Opcode::Mov) {
-        return a;
-    } else {
-        static_assert(OP == Opcode::Mov, "no lane kernel for opcode");
-        return 0;
-    }
-}
-
-/** One lane of a 32-bit compare: the fast kernel. */
-template <CmpOp C, DataType DT>
-inline uint32_t
-laneCmp32(uint32_t a, uint32_t b)
-{
-    auto docmp = [](auto x, auto y) {
-        switch (C) {
-          case CmpOp::Eq: return x == y;
-          case CmpOp::Ne: return x != y;
-          case CmpOp::Lt: return x < y;
-          case CmpOp::Le: return x <= y;
-          case CmpOp::Gt: return x > y;
-          case CmpOp::Ge: return x >= y;
-        }
-        return false;
-    };
-    bool r;
-    if constexpr (DT == DataType::F32)
-        r = docmp(asF32(a), asF32(b));
-    else if constexpr (DT == DataType::S32)
-        r = docmp(int32_t(a), int32_t(b));
-    else
-        r = docmp(a, b); // uint32: same order as the u64 reference
-    return r ? 1u : 0u;
 }
 
 /**
@@ -485,192 +388,180 @@ ilMemory(arch::WfState &wf, const Inst &I, arch::MemAccess::Kind uniform)
     }
 }
 
+/** One operand as register rows: the 64 lanes of its low word and, for
+ *  a 64-bit value, of its high word. */
+struct LaneRows
+{
+    const uint32_t *lo = nullptr;
+    const uint32_t *hi = nullptr;
+};
+
+/** The rows of vector register `r`, and of `r + 1` when `regs` is 2. */
+inline LaneRows
+regRows(const arch::WfState &wf, unsigned r, unsigned regs)
+{
+    return {wf.vregs[r].data(), regs == 2 ? wf.vregs[r + 1].data() : nullptr};
+}
+
+/** Lane `l` of source I of OP at types (DT, ST), zero-extended to 64
+ *  bits; 0 past the op's arity. */
+template <Opcode OP, DataType DT, DataType ST, unsigned I>
+[[gnu::always_inline]] inline uint64_t
+sourceAt(const LaneRows (&s)[3], unsigned l)
+{
+    if constexpr (I >= aluArity(OP))
+        return 0;
+    else if constexpr (sourceRegs(OP, DT, ST, I) == 2)
+        return s[I].lo[l] | uint64_t(s[I].hi[l]) << 32;
+    else
+        return s[I].lo[l];
+}
+
 /**
- * The 32-bit (opcode, type) pairs that have a fast kernel, as
- * K<OP, DT>::fn for each; nullptr for the rest (rem, cvt, the
- * dispatch intrinsics and every 64-bit type take the reference path).
- * Handler selection at all three levels and the lane-table tests read
- * this one list.
+ * Lane `l` of value op OP at type DT (cvt's source type ST, cmp's C) on
+ * source rows `s`: laneValue() or laneCvt() at constant arguments, or
+ * movimm's immediate. It reads what the reference laneReference() reads.
  */
-template <template <Opcode, DataType> class K, DataType DT>
-constexpr auto
-aluTable(Opcode op) -> decltype(&K<Opcode::Mov, DT>::fn)
+template <Opcode OP, DataType DT, DataType ST, CmpOp C>
+[[gnu::always_inline]] inline uint64_t
+laneAt(const LaneRows (&s)[3], uint64_t imm, unsigned l)
 {
-    switch (op) {
-      case Opcode::Add: return &K<Opcode::Add, DT>::fn;
-      case Opcode::Sub: return &K<Opcode::Sub, DT>::fn;
-      case Opcode::Mul: return &K<Opcode::Mul, DT>::fn;
-      case Opcode::MulHi: return &K<Opcode::MulHi, DT>::fn;
-      case Opcode::Mad: return &K<Opcode::Mad, DT>::fn;
-      case Opcode::Fma: return &K<Opcode::Fma, DT>::fn;
-      case Opcode::Div: return &K<Opcode::Div, DT>::fn;
-      case Opcode::Min: return &K<Opcode::Min, DT>::fn;
-      case Opcode::Max: return &K<Opcode::Max, DT>::fn;
-      case Opcode::Abs: return &K<Opcode::Abs, DT>::fn;
-      case Opcode::Neg: return &K<Opcode::Neg, DT>::fn;
-      case Opcode::Sqrt: return &K<Opcode::Sqrt, DT>::fn;
-      case Opcode::And: return &K<Opcode::And, DT>::fn;
-      case Opcode::Or: return &K<Opcode::Or, DT>::fn;
-      case Opcode::Xor: return &K<Opcode::Xor, DT>::fn;
-      case Opcode::Not: return &K<Opcode::Not, DT>::fn;
-      case Opcode::Shl: return &K<Opcode::Shl, DT>::fn;
-      case Opcode::Shr: return &K<Opcode::Shr, DT>::fn;
-      case Opcode::AShr: return &K<Opcode::AShr, DT>::fn;
-      case Opcode::Bfe: return &K<Opcode::Bfe, DT>::fn;
-      case Opcode::CMov: return &K<Opcode::CMov, DT>::fn;
-      case Opcode::Mov: return &K<Opcode::Mov, DT>::fn;
-      default: return nullptr;
-    }
-}
-
-template <template <Opcode, DataType> class K>
-constexpr auto
-aluTable(Opcode op, DataType t) -> decltype(&K<Opcode::Mov, DataType::B32>::fn)
-{
-    switch (t) {
-      case DataType::B32: return aluTable<K, DataType::B32>(op);
-      case DataType::U32: return aluTable<K, DataType::U32>(op);
-      case DataType::S32: return aluTable<K, DataType::S32>(op);
-      case DataType::F32: return aluTable<K, DataType::F32>(op);
-      default: return nullptr;
-    }
-}
-
-/** The compare counterpart of aluTable(): every (cmp op, 32-bit type). */
-template <template <CmpOp, DataType> class K, DataType DT>
-constexpr auto
-cmpTable(CmpOp c) -> decltype(&K<CmpOp::Eq, DT>::fn)
-{
-    switch (c) {
-      case CmpOp::Eq: return &K<CmpOp::Eq, DT>::fn;
-      case CmpOp::Ne: return &K<CmpOp::Ne, DT>::fn;
-      case CmpOp::Lt: return &K<CmpOp::Lt, DT>::fn;
-      case CmpOp::Le: return &K<CmpOp::Le, DT>::fn;
-      case CmpOp::Gt: return &K<CmpOp::Gt, DT>::fn;
-      case CmpOp::Ge: return &K<CmpOp::Ge, DT>::fn;
-    }
-    return nullptr;
-}
-
-template <template <CmpOp, DataType> class K>
-constexpr auto
-cmpTable(CmpOp c, DataType t) -> decltype(&K<CmpOp::Eq, DataType::B32>::fn)
-{
-    switch (t) {
-      case DataType::B32: return cmpTable<K, DataType::B32>(c);
-      case DataType::U32: return cmpTable<K, DataType::U32>(c);
-      case DataType::S32: return cmpTable<K, DataType::S32>(c);
-      case DataType::F32: return cmpTable<K, DataType::F32>(c);
-      default: return nullptr;
-    }
+    if constexpr (OP == Opcode::MovImm)
+        return imm;
+    else if constexpr (OP == Opcode::Cvt)
+        return laneCvt(DT, ST, sourceAt<OP, DT, ST, 0>(s, l));
+    else
+        return laneValue(OP, DT, C, sourceAt<OP, DT, ST, 0>(s, l),
+                         sourceAt<OP, DT, ST, 1>(s, l),
+                         sourceAt<OP, DT, ST, 2>(s, l));
 }
 
 /**
- * The fast engine's lane loop: d[l] = f(l) for each lane in `mask`,
+ * The predecoded engine's lane loop: f(l) for each lane in `mask`,
  * visited ctz-style, with a full-row loop the compiler can
  * autovectorize when all 64 are live.
  */
 template <class F>
-inline void
-forLanes(uint64_t mask, uint32_t *d, F f)
+[[gnu::always_inline]] inline void
+forLanes(uint64_t mask, F f)
 {
     if (mask == ~0ull) {
         for (unsigned l = 0; l < WavefrontSize; ++l)
-            d[l] = f(l);
+            f(l);
     } else {
-        for (uint64_t rest = mask; rest; rest &= rest - 1) {
-            unsigned l = unsigned(std::countr_zero(rest));
-            d[l] = f(l);
-        }
+        for (uint64_t rest = mask; rest; rest &= rest - 1)
+            f(unsigned(std::countr_zero(rest)));
     }
 }
 
 /**
- * The predecoded engine's fast ALU handlers for an instruction class
- * with IL value semantics (HsailInst, PtxlInst): registers come from
+ * Write f(l) to row d0, and its high word to row d1 when W is 2, for
+ * each lane in `mask`. A lane computes its value before it writes, so
+ * a destination may alias a source (add_u64 $d0, $d0, $d2), as in the
+ * reference.
+ */
+template <unsigned W, class F>
+[[gnu::always_inline]] inline void
+writeLanes(uint64_t mask, uint32_t *d0, uint32_t *d1, F f)
+{
+    forLanes(mask, [=](unsigned l) {
+        const uint64_t r = f(l);
+        d0[l] = uint32_t(r);
+        if constexpr (W == 2)
+            d1[l] = uint32_t(r >> 32);
+    });
+}
+
+/**
+ * The predecoded engine's ALU handlers for an instruction class with
+ * IL value semantics (HsailInst, PtxlInst): registers come from
  * Inst::dst()/src(i), the lanes from WfState::activeMask(), and the
- * next PC is pc + Inst::EncodedBytes.
+ * next PC is pc + Inst::EncodedBytes. Every IL value op, add to cvt in
+ * Opcode order, has one handler per type, cmp one per CmpOp and cvt
+ * one per source type, in a table generated from the enums.
  */
 template <class Inst>
 struct IlAluHandlers
 {
-    static const Inst &
-    inst(const arch::ExecMeta &m)
-    {
-        return static_cast<const Inst &>(*m.inst);
-    }
-
-    /** movimm: broadcast the immediate into the active lanes. */
+    /** The handler of OP at type DT (cvt's source type ST, cmp's C). */
+    template <Opcode OP, DataType DT, DataType ST, CmpOp C>
     static void
-    movImm(const arch::ExecMeta &m, arch::WfState &wf)
+    alu(const arch::ExecMeta &m, arch::WfState &wf)
     {
-        const Inst &I = inst(m);
+        const Inst &I = static_cast<const Inst &>(*m.inst);
         wf.nextPc = wf.pc + Inst::EncodedBytes;
-        const uint32_t v = uint32_t(I.immBits());
-        uint32_t *d = wf.vregs[I.dst().idx].data();
-        forLanes(wf.activeMask(), d, [v](unsigned) { return v; });
+        LaneRows s[3];
+        for (unsigned i = 0; i < aluArity(OP); ++i)
+            s[i] = regRows(wf, I.src(i).idx, sourceRegs(OP, DT, ST, i));
+        constexpr unsigned W = resultRegs(OP, DT);
+        uint32_t *d0 = wf.vregs[I.dst().idx].data();
+        uint32_t *d1 = W == 2 ? wf.vregs[I.dst().idx + 1].data() : nullptr;
+        const uint64_t imm = I.immBits();
+        writeLanes<W>(wf.activeMask(), d0, d1, [=](unsigned l) {
+            return laneAt<OP, DT, ST, C>(s, imm, l);
+        });
     }
 
-    /** 32-bit ALU op, one instantiation per (opcode, type). */
-    template <Opcode OP, DataType DT>
-    struct Alu
-    {
-        static void
-        fn(const arch::ExecMeta &m, arch::WfState &wf)
-        {
-            const Inst &I = inst(m);
-            wf.nextPc = wf.pc + Inst::EncodedBytes;
-            constexpr unsigned N = aluArity(OP);
-            const uint32_t *a = wf.vregs[I.src(0).idx].data();
-            const uint32_t *b = a;
-            const uint32_t *c = a;
-            if constexpr (N >= 2)
-                b = wf.vregs[I.src(1).idx].data();
-            if constexpr (N >= 3)
-                c = wf.vregs[I.src(2).idx].data();
-            uint32_t *d = wf.vregs[I.dst().idx].data();
-            forLanes(wf.activeMask(), d, [=](unsigned l) {
-                return lane32<OP, DT>(a[l], b[l], c[l]);
-            });
-        }
-    };
+    /** @{ The table's index: (op, type, variant), where the variant is
+     *  cmp's CmpOp, cvt's source type and 0 for every other op. */
+    static constexpr size_t NumOps = size_t(Opcode::Cvt) + 1;
+    static constexpr size_t NumTypes = size_t(DataType::F64) + 1;
+    static constexpr size_t NumVariants =
+        std::max(size_t(CmpOp::Ge) + 1, NumTypes);
 
-    /** 32-bit compare, one instantiation per (cmp op, type). */
-    template <CmpOp C, DataType DT>
-    struct Cmp
+    static constexpr size_t
+    key(Opcode op, DataType t, size_t variant)
     {
-        static void
-        fn(const arch::ExecMeta &m, arch::WfState &wf)
-        {
-            const Inst &I = inst(m);
-            wf.nextPc = wf.pc + Inst::EncodedBytes;
-            const uint32_t *a = wf.vregs[I.src(0).idx].data();
-            const uint32_t *b = wf.vregs[I.src(1).idx].data();
-            uint32_t *d = wf.vregs[I.dst().idx].data();
-            forLanes(wf.activeMask(), d, [=](unsigned l) {
-                return laneCmp32<C, DT>(a[l], b[l]);
-            });
-        }
-    };
+        return (size_t(op) * NumTypes + size_t(t)) * NumVariants + variant;
+    }
+    /** @} */
+
+    template <size_t K>
+    static constexpr arch::ExecHandler
+    entry()
+    {
+        constexpr auto OP = Opcode(K / (NumTypes * NumVariants));
+        constexpr auto DT = DataType(K / NumVariants % NumTypes);
+        constexpr size_t V = K % NumVariants;
+        if constexpr (OP == Opcode::Cmp && V <= size_t(CmpOp::Ge))
+            return &alu<OP, DT, DT, CmpOp(V)>;
+        else if constexpr (OP == Opcode::Cvt && V < NumTypes)
+            return &alu<OP, DT, DataType(V), CmpOp::Eq>;
+        else if constexpr (OP != Opcode::Cmp && OP != Opcode::Cvt && V == 0)
+            return &alu<OP, DT, DT, CmpOp::Eq>;
+        else
+            return nullptr;
+    }
+
+    template <size_t... K>
+    static constexpr auto
+    table(std::index_sequence<K...>)
+    {
+        return std::array<arch::ExecHandler, sizeof...(K)>{entry<K>()...};
+    }
 
     /**
-     * The fast handler for `I`, whose value semantics are `op`, or
-     * nullptr when it takes the reference path: a 64-bit type, an op
-     * without a kernel, or a missing register the kernels would touch.
+     * The handler for `I`, whose value semantics are `op`, or nullptr
+     * when it takes the reference path: a dispatch intrinsic (the ops
+     * after cvt), a missing register the handler would touch, or a
+     * type or CmpOp outside its enum.
      */
     static arch::ExecHandler
     pick(const Inst &I, Opcode op)
     {
-        if (typeRegs(I.type()) != 1 || !I.dst().valid())
+        static constexpr auto handlers =
+            table(std::make_index_sequence<NumOps * NumTypes * NumVariants>());
+        if (size_t(op) >= NumOps || !I.dst().valid())
             return nullptr;
-        if (op == Opcode::MovImm)
-            return &movImm;
-        for (unsigned s = 0; s < aluArity(op); ++s)
-            if (!I.src(s).valid())
+        for (unsigned i = 0; i < aluArity(op); ++i)
+            if (!I.src(i).valid())
                 return nullptr;
-        if (op == Opcode::Cmp)
-            return cmpTable<Cmp>(I.cmpOp(), I.type());
-        return aluTable<Alu>(op, I.type());
+        const size_t variant = op == Opcode::Cmp   ? size_t(I.cmpOp())
+                             : op == Opcode::Cvt ? size_t(I.srcType())
+                                                 : 0;
+        if (size_t(I.type()) >= NumTypes || variant >= NumVariants)
+            return nullptr;
+        return handlers[key(op, I.type(), variant)];
     }
 };
 

@@ -70,11 +70,13 @@ const char *typeName(DataType t);
 const char *segmentName(Segment s);
 const char *cmpOpName(CmpOp c);
 
-/** Source operands an ALU op reads (cmp reads 2). */
+/** Source operands an ALU op reads (cmp reads 2, movimm none). */
 constexpr unsigned
 aluArity(Opcode op)
 {
     switch (op) {
+      case Opcode::MovImm:
+        return 0;
       case Opcode::Abs:
       case Opcode::Neg:
       case Opcode::Sqrt:
@@ -97,6 +99,24 @@ constexpr unsigned
 typeRegs(DataType t)
 {
     return (t == DataType::U64 || t == DataType::F64) ? 2 : 1;
+}
+
+/** Registers the result of ALU op `op` at type `t` occupies: a compare
+ *  writes one, whatever its operands' type. */
+constexpr unsigned
+resultRegs(Opcode op, DataType t)
+{
+    return op == Opcode::Cmp ? 1 : typeRegs(t);
+}
+
+/** Registers source `i` of ALU op `op` at type `t` occupies: cvt's
+ *  source has its own type `src_t`, and cmov's condition is one. */
+constexpr unsigned
+sourceRegs(Opcode op, DataType t, DataType src_t, unsigned i)
+{
+    if (op == Opcode::Cvt)
+        return typeRegs(src_t);
+    return op == Opcode::CMov && i == 0 ? 1 : typeRegs(t);
 }
 
 /** Bytes a memory access of this type moves per work-item. */

@@ -4,18 +4,23 @@
  *
  * PtxlInst::predecode resolves each static instruction to one of the
  * flat handlers below, following the src/hsail/exec.cc idiom. ALU
- * instructions carry IL value semantics, so the hot 32-bit classes get
- * the IL's shared active-lane kernels (hsail/lane_ops.hh); this file
- * holds only what is PTXL's own: S2R's broadcast and the trivial
- * control handlers. Everything else has one implementation, the
- * reference executor, called non-virtually: memory (the IL's segment
- * addressing in hsail/lane_ops.hh over the lane body all three levels
- * share, arch/lane_mem.hh), ISETP, SEL/P2R, branches, BSYNC and the
- * ALU ops without a kernel.
+ * instructions carry IL value semantics, so every one of either width
+ * (movimm and cvt included) gets the IL's active-lane handler
+ * (IlAluHandlers in hsail/lane_ops.hh), which instantiates the one
+ * implementation of the IL arithmetic, laneValue(), at its (opcode,
+ * type); this file holds only what is PTXL's own: S2R's broadcast and
+ * the trivial control handlers. Everything else has one
+ * implementation, the reference executor, called non-virtually: memory
+ * (the IL's segment addressing in hsail/lane_ops.hh over the lane body
+ * all three levels share, arch/lane_mem.hh), ISETP, SEL/P2R, branches
+ * and BSYNC.
  *
  * Correctness contract: every handler is bit-identical to the
- * corresponding piece of PtxlInst::execute(); tests/test_ptxl.cc runs
- * every workload both ways and compares AppResults field for field.
+ * corresponding piece of PtxlInst::execute(), save the float results
+ * IEEE 754 leaves open (see arch/exec_meta.hh); the two differ only in
+ * dispatch and operand plumbing. tests/test_ptxl.cc runs every
+ * workload both ways and compares AppResults field for field, and the
+ * lane-table test runs every ALU handler beside execute().
  */
 
 #include <bit>

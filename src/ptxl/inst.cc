@@ -256,21 +256,20 @@ PtxlInst::finalizeOperands()
 {
     using arch::RegClass;
     unsigned dw = unsigned(typeRegs(dtype));
-    unsigned sw = dw;
-    if (sem == hsail::Opcode::Cvt)
-        sw = typeRegs(srcDtype);
 
     switch (opc) {
       case PtxlOp::Alu:
       case PtxlOp::S2r:
       case PtxlOp::P2r:
         if (dstReg.valid())
-            addOp(RegClass::Vector, dstReg.idx, uint8_t(dw), true);
+            addOp(RegClass::Vector, dstReg.idx,
+                  uint8_t(hsail::resultRegs(sem, dtype)), true);
         if (psrc != NoPreg)
             addOp(RegClass::Scalar, psrc, 1, false);
         for (unsigned s = 0; s < 3; ++s) {
             if (srcRegs[s].valid())
-                addOp(RegClass::Vector, srcRegs[s].idx, uint8_t(sw),
+                addOp(RegClass::Vector, srcRegs[s].idx,
+                      uint8_t(hsail::sourceRegs(sem, dtype, srcDtype, s)),
                       false);
         }
         return;
@@ -364,7 +363,7 @@ void
 PtxlInst::executeAlu(arch::WfState &wf) const
 {
     uint64_t mask = wf.exec;
-    unsigned dst_regs = typeRegs(dtype);
+    unsigned dst_regs = hsail::resultRegs(sem, dtype);
 
     if (opc == PtxlOp::Sel || opc == PtxlOp::P2r) {
         uint64_t p = wf.pregs[psrc];
@@ -593,16 +592,16 @@ PtxlInst::disassemble() const
       case PtxlOp::Alu: {
         os << aluMnemonic(sem, dtype);
         if (dstReg.valid())
-            os << " " << regName(dstReg, w);
+            os << " " << regName(dstReg, hsail::resultRegs(sem, dtype));
         if (sem == hsail::Opcode::MovImm) {
             os << ", #" << imm;
             return os.str();
         }
-        unsigned sw = (sem == hsail::Opcode::Cvt) ? typeRegs(srcDtype)
-                                                  : w;
         for (unsigned s = 0; s < 3; ++s) {
             if (srcRegs[s].valid())
-                os << ", " << regName(srcRegs[s], sw);
+                os << ", "
+                   << regName(srcRegs[s],
+                              hsail::sourceRegs(sem, dtype, srcDtype, s));
         }
         return os.str();
       }

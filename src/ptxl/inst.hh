@@ -81,6 +81,7 @@ class PtxlInst : public arch::Instruction
     PtxlOp op() const { return opc; }
     hsail::Opcode aluSem() const { return sem; }
     DataType type() const { return dtype; }
+    DataType srcType() const { return srcDtype; }
     Segment segment() const { return seg; }
     CmpOp cmpOp() const { return cmpop; }
     Reg dst() const { return dstReg; }

@@ -166,4 +166,36 @@ divergenceBytes(const sim::BenchCacheFile &cache)
     return os.str();
 }
 
+std::array<GpuConfig, 2>
+latencyConfigs()
+{
+    std::array<GpuConfig, 2> cfgs;
+    GpuConfig &moved = cfgs[1];
+    moved.valuLatency += 3;
+    moved.valuLatencyF64 += 4;
+    moved.saluLatency += 1;
+    moved.branchLatency += 2;
+    moved.ldsLatency += 2;
+    moved.dramLatency += 100;
+    return cfgs;
+}
+
+unsigned
+table4Latency(arch::FuType fu, bool f64, unsigned cfg)
+{
+    using arch::FuType;
+    const bool moved = cfg == 1;
+    switch (fu) {
+      case FuType::VAlu:
+        return f64 ? (moved ? 12 : 8) : (moved ? 7 : 4);
+      case FuType::SAlu: return moved ? 2 : 1;
+      case FuType::Branch: return moved ? 3 : 1;
+      case FuType::Lds: return moved ? 6 : 4;
+      case FuType::VMem:
+      case FuType::SMem: return 0; // the memory system times these
+      case FuType::Special: return 1;
+    }
+    return ~0u;
+}
+
 } // namespace last::test

@@ -2,16 +2,19 @@
  * @file
  * Shared test utilities: a bare functional executor that runs a kernel
  * on a single wavefront without the timing model (for ISA semantics
- * tests), a random IL kernel generator (for differential property
- * tests), the one field-for-field AppResult equality check, and the
- * byte forms of a bench cache and its divergence report.
+ * tests) through either engine, a random IL kernel generator (for
+ * differential property tests), the one field-for-field AppResult
+ * equality check, the byte forms of a bench cache and its divergence
+ * report, and Table 4's result latencies.
  */
 
 #ifndef LAST_TESTS_HELPERS_HH
 #define LAST_TESTS_HELPERS_HH
 
+#include <array>
 #include <memory>
 
+#include "arch/exec_meta.hh"
 #include "arch/kernel_code.hh"
 #include "arch/wf_state.hh"
 #include "common/random.hh"
@@ -26,9 +29,14 @@ namespace last::test
 /** A one-wavefront functional execution environment. */
 struct MiniWf
 {
+    /** The engine run() dispatches through: each instruction's virtual
+     *  execute(), or the handlers KernelCode::execMetas() installs. */
+    enum class Engine { Reference, Predecoded };
+
     mem::FunctionalMemory mem;
     mem::LdsBlock lds{4096};
     arch::WfState st;
+    Engine engine = Engine::Reference;
 
     explicit MiniWf(const arch::KernelCode &code, unsigned wg_size = 64,
                     unsigned grid = 64, unsigned wg_id = 0)
@@ -58,7 +66,12 @@ struct MiniWf
             size_t idx = code.indexAt(st.pc);
             st.pendingAccess.reset();
             st.atBarrier = false;
-            code.inst(idx).execute(st);
+            if (engine == Engine::Predecoded) {
+                const arch::ExecMeta &m = code.execMetas()[idx];
+                m.handler(m, st);
+            } else {
+                code.inst(idx).execute(st);
+            }
             ++n;
             if (st.isa == IsaKind::HSAIL) {
                 st.rs.back().pc = st.nextPc;
@@ -96,6 +109,15 @@ std::string cacheBytes(const sim::BenchCacheFile &cache);
 /** The `last-divergence-v2` array sim::divergenceFromCache derives
  *  from `cache`, as obs::writeDivergenceJsonArray writes it. */
 std::string divergenceBytes(const sim::BenchCacheFile &cache);
+
+/** Table 4's latency configuration, and one with each of its latency
+ *  knobs moved. */
+std::array<GpuConfig, 2> latencyConfigs();
+
+/** The result latency in cycles, stated per class, of an instruction
+ *  on functional unit `fu` under latencyConfigs()[cfg]; `f64` marks a
+ *  double-precision or transcendental VALU op. */
+unsigned table4Latency(arch::FuType fu, bool f64, unsigned cfg);
 
 } // namespace last::test
 

@@ -8,8 +8,9 @@
  * virtual-dispatch reference (GpuConfig::execReference), and the
  * bench-cache rows serialized from the two runs must be byte-identical
  * files. A third test pins the predecode contract itself: every
- * ExecMeta record must agree with the virtual methods it replaces; a
- * fourth, which GCN3 VALU/VOPC opcodes get a fast handler.
+ * ExecMeta record must agree with the virtual methods it replaces and
+ * with Table 4's latencies; a fourth, that every GCN3 VALU/VOPC opcode
+ * gets an active-lane handler.
  */
 
 #include <gtest/gtest.h>
@@ -100,12 +101,7 @@ TEST(ExecEngine, PredecodedMetaAgreesWithInstruction)
     // The predecode contract: every ExecMeta field the timing model
     // consumes must agree with the virtual method it replaced, for
     // every instruction of both ISA levels, across latency configs.
-    GpuConfig cfgs[2];
-    cfgs[1].valuLatency += 3;
-    cfgs[1].dramLatency += 100;
-    cfgs[1].ldsLatency += 2;
-    cfgs[1].saluLatency += 1;
-    cfgs[1].branchLatency += 2;
+    const auto cfgs = test::latencyConfigs();
 
     auto checkKernel = [&](const arch::KernelCode &code) {
         const auto &metas = code.execMetas();
@@ -120,8 +116,12 @@ TEST(ExecEngine, PredecodedMetaAgreesWithInstruction)
             EXPECT_EQ(m.fu, in.fuType());
             EXPECT_EQ(unsigned(m.size), in.sizeBytes());
             EXPECT_EQ(unsigned(m.size), code.sizeOf(i));
-            for (const GpuConfig &cfg : cfgs)
-                EXPECT_EQ(m.latency(cfg), in.latency(cfg));
+            for (unsigned c = 0; c < cfgs.size(); ++c)
+                EXPECT_EQ(m.latency(cfgs[c]),
+                          test::table4Latency(in.fuType(),
+                                              in.is(arch::IsF64) ||
+                                                  in.is(arch::IsTrans),
+                                              c));
             EXPECT_EQ(m.numOps, in.regOps().size());
             for (size_t k = 0; k < in.regOps().size(); ++k) {
                 EXPECT_EQ(m.ops[k].idx, in.regOps()[k].idx);
@@ -144,60 +144,48 @@ TEST(ExecEngine, PredecodedMetaAgreesWithInstruction)
 
 TEST(ExecEngine, Gcn3HotValuOpsKeepFastHandlers)
 {
-    // The 55 VALU/VOPC opcodes that had a fast handler before GCN3's
-    // VALU joined the IL lane library. Each keeps one: an IL twin's
-    // kernel, or the row-based implementation of an op only GCN3 has.
-    // A 64-bit twin (V_ADD_F64) still runs the reference executor.
+    // Every VALU/VOPC opcode runs an active-lane handler: each of the
+    // 66 with an IL twin, 32- or 64-bit, its own instantiation of the
+    // IL arithmetic, and the 10 only GCN3 has their one row-based
+    // implementation. None runs the per-lane reference executor.
     using gcn3::Gcn3Op;
-    const Gcn3Op hot[] = {
-        Gcn3Op::V_MOV_B32, Gcn3Op::V_NOT_B32, Gcn3Op::V_RCP_F32,
-        Gcn3Op::V_SQRT_F32, Gcn3Op::V_CVT_F32_U32, Gcn3Op::V_CVT_F32_I32,
-        Gcn3Op::V_CVT_U32_F32, Gcn3Op::V_CVT_I32_F32, Gcn3Op::V_MUL_LO_U32,
-        Gcn3Op::V_MUL_HI_U32, Gcn3Op::V_ADD_F32, Gcn3Op::V_SUB_F32,
-        Gcn3Op::V_MUL_F32, Gcn3Op::V_MAC_F32, Gcn3Op::V_MIN_F32,
-        Gcn3Op::V_MAX_F32, Gcn3Op::V_MIN_U32, Gcn3Op::V_MAX_U32,
-        Gcn3Op::V_MIN_I32, Gcn3Op::V_MAX_I32, Gcn3Op::V_AND_B32,
-        Gcn3Op::V_OR_B32, Gcn3Op::V_XOR_B32, Gcn3Op::V_LSHLREV_B32,
-        Gcn3Op::V_LSHRREV_B32, Gcn3Op::V_ASHRREV_I32, Gcn3Op::V_CNDMASK_B32,
-        Gcn3Op::V_MAD_F32, Gcn3Op::V_FMA_F32, Gcn3Op::V_MAD_U32_U24,
-        Gcn3Op::V_BFE_U32, Gcn3Op::V_DIV_FMAS_F32, Gcn3Op::V_DIV_FIXUP_F32,
-        Gcn3Op::V_ADD_U32, Gcn3Op::V_ADDC_U32, Gcn3Op::V_SUB_U32,
-        Gcn3Op::V_SUBB_U32, Gcn3Op::V_CMP_EQ_U32, Gcn3Op::V_CMP_NE_U32,
-        Gcn3Op::V_CMP_LT_U32, Gcn3Op::V_CMP_LE_U32, Gcn3Op::V_CMP_GT_U32,
-        Gcn3Op::V_CMP_GE_U32, Gcn3Op::V_CMP_EQ_I32, Gcn3Op::V_CMP_NE_I32,
-        Gcn3Op::V_CMP_LT_I32, Gcn3Op::V_CMP_LE_I32, Gcn3Op::V_CMP_GT_I32,
-        Gcn3Op::V_CMP_GE_I32, Gcn3Op::V_CMP_EQ_F32, Gcn3Op::V_CMP_NE_F32,
-        Gcn3Op::V_CMP_LT_F32, Gcn3Op::V_CMP_LE_F32, Gcn3Op::V_CMP_GT_F32,
-        Gcn3Op::V_CMP_GE_F32,
-    };
-    ASSERT_EQ(std::size(hot), 55u);
-
     using gcn3::Src;
     arch::KernelCode code(IsaKind::GCN3, "hot_valu");
-    auto add = [&](Gcn3Op op) {
-        code.append(std::unique_ptr<arch::Instruction>(gcn3::Gcn3Inst::vop3(
-            op, gcn3::Dst::vgpr(0), Src::vgpr(4), Src::vgpr(6),
-            Src::vgpr(8))));
-    };
-    for (Gcn3Op op : hot)
-        add(op);
-    add(Gcn3Op::V_ADD_F64);
+    std::vector<Gcn3Op> ops;
+    for (unsigned o = 0; o < unsigned(Gcn3Op::NumOpcodes); ++o) {
+        switch (gcn3::opFormat(Gcn3Op(o))) {
+          case gcn3::Format::VOP1:
+          case gcn3::Format::VOP2:
+          case gcn3::Format::VOP3:
+          case gcn3::Format::VOPC:
+            ops.push_back(Gcn3Op(o));
+            code.append(std::unique_ptr<arch::Instruction>(
+                gcn3::Gcn3Inst::vop3(Gcn3Op(o), gcn3::Dst::vgpr(0),
+                                     Src::vgpr(4), Src::vgpr(6),
+                                     Src::vgpr(8))));
+            break;
+          default:
+            break;
+        }
+    }
     code.append(std::unique_ptr<arch::Instruction>(
         gcn3::Gcn3Inst::sopp(Gcn3Op::S_ENDPGM)));
     code.seal();
 
     const auto &metas = code.execMetas();
-    const arch::ExecHandler reference = metas[std::size(hot)].handler;
-    std::vector<arch::ExecHandler> kernels;
-    for (size_t i = 0; i < std::size(hot); ++i) {
-        SCOPED_TRACE(gcn3::opName(hot[i]));
-        EXPECT_NE(metas[i].handler, reference);
-        if (gcn3::ilTwin(hot[i]).valid())
-            kernels.push_back(metas[i].handler);
+    std::vector<arch::ExecHandler> twins, own;
+    for (size_t i = 0; i < ops.size(); ++i)
+        (gcn3::ilTwin(ops[i]).valid() ? twins : own)
+            .push_back(metas[i].handler);
+    ASSERT_EQ(twins.size(), 66u);
+    ASSERT_EQ(own.size(), 10u);
+
+    // One handler per twin opcode, none shared with the ops only GCN3
+    // has, which share executeOwnValu's.
+    std::sort(twins.begin(), twins.end());
+    EXPECT_EQ(std::adjacent_find(twins.begin(), twins.end()), twins.end());
+    for (size_t i = 0; i < own.size(); ++i) {
+        EXPECT_EQ(own[i], own.front());
+        EXPECT_FALSE(std::binary_search(twins.begin(), twins.end(), own[i]));
     }
-    // One kernel instantiation per twin opcode.
-    std::sort(kernels.begin(), kernels.end());
-    EXPECT_EQ(std::adjacent_find(kernels.begin(), kernels.end()),
-              kernels.end());
-    EXPECT_EQ(kernels.size(), 48u);
 }

@@ -291,4 +291,23 @@ TEST(HsailBrig, RejectsCorruptBlobs)
     EXPECT_THROW(decodeBrig(blob), std::runtime_error);
     BrigBlob truncated(blob.begin(), blob.begin() + 8);
     EXPECT_THROW(decodeBrig(truncated), std::runtime_error);
+
+    // A record whose opcode, dtype, srcDtype, segment or cmpOp byte
+    // lies outside its enum, here an ALU instruction's (whose types
+    // pick its handler), is rejected too.
+    const BrigBlob good = encodeBrig(*il.code);
+    const size_t n = il.code->numInsts();
+    size_t alu = 0;
+    while (alu < n &&
+           static_cast<const HsailInst &>(il.code->inst(alu)).op() >
+               Opcode::Cvt)
+        ++alu;
+    ASSERT_LT(alu, n);
+    const size_t rec = good.size() - (n - alu) * BrigRecordBytes;
+    for (size_t field = 0; field < 5; ++field) {
+        BrigBlob bad = good;
+        bad[rec + field] = 0xff;
+        EXPECT_THROW(decodeBrig(bad), std::runtime_error)
+            << "record byte " << field;
+    }
 }

@@ -288,11 +288,7 @@ TEST(PtxlExecEngine, PredecodedMetaAgreesWithInstruction)
     // Every ExecMeta field the timing model consumes must agree with
     // the virtual method it replaced, for every instruction of every
     // lowered random kernel, across latency configs.
-    GpuConfig cfgs[2];
-    cfgs[1].valuLatency += 3;
-    cfgs[1].dramLatency += 100;
-    cfgs[1].ldsLatency += 2;
-    cfgs[1].branchLatency += 2;
+    const auto cfgs = test::latencyConfigs();
 
     auto checkKernel = [&](const arch::KernelCode &code) {
         const auto &metas = code.execMetas();
@@ -309,8 +305,12 @@ TEST(PtxlExecEngine, PredecodedMetaAgreesWithInstruction)
             EXPECT_EQ(unsigned(m.size), code.sizeOf(i));
             EXPECT_EQ(unsigned(m.size), ptxl::PtxlInst::EncodedBytes)
                 << "PTXL encoding is fixed-width";
-            for (const GpuConfig &cfg : cfgs)
-                EXPECT_EQ(m.latency(cfg), in.latency(cfg));
+            for (unsigned c = 0; c < cfgs.size(); ++c)
+                EXPECT_EQ(m.latency(cfgs[c]),
+                          test::table4Latency(in.fuType(),
+                                              in.is(arch::IsF64) ||
+                                                  in.is(arch::IsTrans),
+                                              c));
             EXPECT_EQ(m.numOps, in.regOps().size());
             for (size_t k = 0; k < in.regOps().size(); ++k) {
                 EXPECT_EQ(m.ops[k].idx, in.regOps()[k].idx);

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hh"
 #include "common/atomic_file.hh"
 #include "obs/divergence.hh"
 #include "obs/stats_export.hh"
@@ -40,6 +41,7 @@
 #include "workloads/workload.hh"
 
 using namespace last;
+using cli::takeOption;
 
 namespace
 {
@@ -67,31 +69,6 @@ parseIsa(const std::string &s)
     if (isaFromName(s, isa))
         return isa;
     usage();
-}
-
-/** Pull `--flag value` out of args (erasing it); @return defaulted. */
-std::string
-takeOption(std::vector<std::string> &args, const std::string &flag,
-           const std::string &dflt)
-{
-    for (size_t i = 0; i + 1 < args.size(); ++i) {
-        if (args[i] == flag) {
-            std::string v = args[i + 1];
-            args.erase(args.begin() + i, args.begin() + i + 2);
-            return v;
-        }
-    }
-    return dflt;
-}
-
-/** Atomically write a report produced by `fn`: a crash (or SIGKILL)
- *  mid-write can never leave a half-written JSON/CSV behind for a
- *  downstream consumer to trip over. */
-void
-writeAtomic(const std::string &path,
-            const std::function<void(std::ostream &)> &fn)
-{
-    atomicWriteFile(path, fn);
 }
 
 int
@@ -122,7 +99,7 @@ cmdTrace(std::vector<std::string> args)
     if (out.empty()) {
         sink.writeChromeTrace(std::cout, meta);
     } else {
-        writeAtomic(out, [&](std::ostream &os) {
+        atomicWriteFile(out, [&](std::ostream &os) {
             sink.writeChromeTrace(os, meta);
         });
         std::fprintf(stderr,
@@ -155,12 +132,12 @@ cmdStats(std::vector<std::string> args)
         args[0], isa, GpuConfig{}, {scale},
         [&](runtime::Runtime &rt) {
             if (!jsonPath.empty()) {
-                writeAtomic(jsonPath, [&](std::ostream &os) {
+                atomicWriteFile(jsonPath, [&](std::ostream &os) {
                     obs::writeStatsJson(os, rt, meta);
                 });
             }
             if (!csvPath.empty()) {
-                writeAtomic(csvPath, [&](std::ostream &os) {
+                atomicWriteFile(csvPath, [&](std::ostream &os) {
                     obs::writeStatsCsv(os, rt, meta);
                 });
             }
@@ -198,7 +175,7 @@ cmdDiverge(std::vector<std::string> args)
     }
 
     if (!jsonPath.empty()) {
-        writeAtomic(jsonPath, [&](std::ostream &os) {
+        atomicWriteFile(jsonPath, [&](std::ostream &os) {
             obs::writeDivergenceJsonArray(os, reports);
         });
     }

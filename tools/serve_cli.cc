@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hh"
 #include "common/atomic_file.hh"
 #include "common/error.hh"
 #include "common/json_in.hh"
@@ -52,6 +53,8 @@
 #include "sim/bench_cache.hh"
 
 using namespace last;
+using cli::takeFlag;
+using cli::takeOption;
 
 namespace
 {
@@ -79,34 +82,6 @@ usage()
         "                          [--lds-stride W] [--lds-pad W] "
         "[--timeout-ms N] [--out FILE]\n");
     std::exit(1);
-}
-
-/** Pull `--flag value` out of args (erasing it); @return defaulted. */
-std::string
-takeOption(std::vector<std::string> &args, const std::string &flag,
-           const std::string &dflt)
-{
-    for (size_t i = 0; i + 1 < args.size(); ++i) {
-        if (args[i] == flag) {
-            std::string v = args[i + 1];
-            args.erase(args.begin() + i, args.begin() + i + 2);
-            return v;
-        }
-    }
-    return dflt;
-}
-
-/** Pull a bare `--flag` out of args. @return whether it was present. */
-bool
-takeFlag(std::vector<std::string> &args, const std::string &flag)
-{
-    for (size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == flag) {
-            args.erase(args.begin() + i);
-            return true;
-        }
-    }
-    return false;
 }
 
 /** Shared endpoint flags: --unix PATH, or --tcp [PORT] [--host H].

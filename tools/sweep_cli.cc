@@ -61,6 +61,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hh"
 #include "common/atomic_file.hh"
 #include "obs/divergence.hh"
 #include "sim/bench_cache.hh"
@@ -68,6 +69,8 @@
 #include "sim/shard.hh"
 
 using namespace last;
+using cli::takeFlag;
+using cli::takeOption;
 
 namespace
 {
@@ -98,42 +101,6 @@ usage()
         "                        [--resume] [--worker EXE] "
         "[--chaos-exec WRAPPER]\n");
     std::exit(1);
-}
-
-/** Pull `--flag value` out of args (erasing it); @return defaulted. */
-std::string
-takeOption(std::vector<std::string> &args, const std::string &flag,
-           const std::string &dflt)
-{
-    for (size_t i = 0; i + 1 < args.size(); ++i) {
-        if (args[i] == flag) {
-            std::string v = args[i + 1];
-            args.erase(args.begin() + i, args.begin() + i + 2);
-            return v;
-        }
-    }
-    return dflt;
-}
-
-bool
-takeFlag(std::vector<std::string> &args, const std::string &flag)
-{
-    for (size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == flag) {
-            args.erase(args.begin() + i);
-            return true;
-        }
-    }
-    return false;
-}
-
-/** Atomically write an artifact produced by `fn` (temp + fsync +
- *  rename — a crash mid-write never leaves a torn file behind). */
-void
-writeAtomic(const std::string &path,
-            const std::function<void(std::ostream &)> &fn)
-{
-    atomicWriteFile(path, fn);
 }
 
 /** Load a bench cache, tolerating a missing file (empty cache). A
@@ -170,7 +137,7 @@ cmdPlan(std::vector<std::string> args)
     for (const auto &m : manifests) {
         std::string path = outDir + "/shard_" +
                            std::to_string(m.shardIndex) + ".json";
-        writeAtomic(path, [&](std::ostream &os) {
+        atomicWriteFile(path, [&](std::ostream &os) {
             sim::writeShardManifest(os, m);
         });
         std::fprintf(stderr, "last_sweep: wrote %s (%zu specs)\n",
@@ -228,14 +195,14 @@ cmdRun(std::vector<std::string> args)
         std::fprintf(stderr, "%s", outcome.sweep.format().c_str());
 
     if (!outPath.empty()) {
-        writeAtomic(outPath, [&](std::ostream &os) {
+        atomicWriteFile(outPath, [&](std::ostream &os) {
             sim::writeBenchCache(os, outcome.cache);
         });
     }
     if (!divergePath.empty()) {
         auto reports =
             sim::divergenceFromCache(outcome.cache, threshold);
-        writeAtomic(divergePath, [&](std::ostream &os) {
+        atomicWriteFile(divergePath, [&](std::ostream &os) {
             obs::writeDivergenceJsonArray(os, reports);
         });
     }
@@ -274,12 +241,12 @@ cmdMerge(std::vector<std::string> args)
                  "quarantined)\n",
                  parts.size(), merged.rows.size(), quarantined);
 
-    writeAtomic(outPath, [&](std::ostream &os) {
+    atomicWriteFile(outPath, [&](std::ostream &os) {
         sim::writeBenchCache(os, merged);
     });
     if (!divergePath.empty()) {
         auto reports = sim::divergenceFromCache(merged, threshold);
-        writeAtomic(divergePath, [&](std::ostream &os) {
+        atomicWriteFile(divergePath, [&](std::ostream &os) {
             obs::writeDivergenceJsonArray(os, reports);
         });
     }
