@@ -51,13 +51,15 @@ fi
 # where UBSan flags any signed overflow — plus the golden cache, which regenerates
 # all 42 specs and byte-compares them with last_bench_cache.csv under
 # the sanitizers' build flags — plus the cache model's recency list
-# and the probe memo, index arithmetic over per-line and per-register
-# arrays.
+# and way index and the probe memo and hash, index arithmetic over
+# per-line, per-slot and per-register arrays — plus functional
+# memory, whose inline page-memo path copies lanes straight into a
+# page.
 # CI's asan job runs the same filter.
 if cmake -B build-asan -S . -DLAST_ASAN=ON &&
     cmake --build build-asan -j --target last_tests; then
     ./build-asan/tests/last_tests \
-        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*:Ops/IlLaneTable.*:Ops/IlValueSweep.*:IlLaneSemantics.*:GoldenCache.*:Ops/Gcn3LaneTable.*:Ops/Gcn3ValuSweep.*:Cache.*:ProbeFastPaths.*' ||
+        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*:Ops/IlLaneTable.*:Ops/IlValueSweep.*:IlLaneSemantics.*:GoldenCache.*:Ops/Gcn3LaneTable.*:Ops/Gcn3ValuSweep.*:Cache.*:ProbeFastPaths.*:FunctionalMemory*' ||
         fail "ASan/UBSan suite"
 else
     fail "ASan build"

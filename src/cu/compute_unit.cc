@@ -309,18 +309,13 @@ ComputeUnit::operandsReadyAt(const Wavefront &wf,
 Cycle
 ComputeUnit::nextProgressCycle(Cycle now) const
 {
-    if (activeWfs == 0)
-        return InvalidCycle;
+    // The age list holds exactly the live wavefronts; the minimum
+    // does not depend on the order they are visited in.
     Cycle t = InvalidCycle;
-    for (const auto &wfp : slots) {
+    for (const Wavefront *wfp = ageHead; wfp; wfp = wfp->ageNext) {
         const Wavefront &wf = *wfp;
-        if (!wf.active || wf.st.done)
-            continue;
-        const auto *code = wf.st.code;
-        // A wavefront that could start a fetch progresses immediately
-        // (mirrors the fetchStage eligibility conditions).
-        if (!wf.fetchInFlight && wf.ibNextIdx < code->numInsts() &&
-            wf.ibCount + cfg.fetchWidth <= cfg.ibEntries)
+        // A wavefront that could start a fetch progresses immediately.
+        if (canFetch(wf))
             return now;
         if (!wf.runnable() || wf.ibCount == 0)
             continue; // barrier release / fetch fill: event driven
@@ -343,7 +338,9 @@ ComputeUnit::chargeSkippedCycles(Cycle now, Cycle k)
         return;
     busyCycles += double(k);
     Cycle end = now + k;
-    for (const auto &wfp : slots) {
+    // Only live wavefronts stall, and each stall counter adds
+    // integer-valued doubles, so the sum is exact in any order.
+    for (const Wavefront *wfp = ageHead; wfp; wfp = wfp->ageNext) {
         const Wavefront &wf = *wfp;
         if (!wf.runnable())
             continue;
@@ -432,13 +429,9 @@ ComputeUnit::dumpWavefronts(unsigned cuIndex,
 bool
 ComputeUnit::tryFetch(Wavefront *wf, Cycle now)
 {
-    if (wf->st.done || wf->fetchInFlight)
+    if (!canFetch(*wf))
         return false;
     const auto *code = wf->st.code;
-    if (wf->ibNextIdx >= code->numInsts())
-        return false;
-    if (wf->ibCount + cfg.fetchWidth > cfg.ibEntries)
-        return false;
 
     // Fetch one line's worth of instructions starting at the
     // next-fetch offset. sizeOf() reads the sealed offsets table — no

@@ -163,6 +163,17 @@ class ComputeUnit : public stats::Group
     struct FreeSlotOrder;
 
     void fetchStage(Cycle now);
+    /** The one fetch-eligibility rule, which fetch and fast-forward
+     *  share: `wf` is not done and has no fetch in flight,
+     *  instructions are left to fetch, and the IB has room for a
+     *  fetch's worth of them. */
+    bool
+    canFetch(const Wavefront &wf) const
+    {
+        return !wf.st.done && !wf.fetchInFlight &&
+               wf.ibNextIdx < wf.st.code->numInsts() &&
+               wf.ibCount + cfg.fetchWidth <= cfg.ibEntries;
+    }
     /** Initiate a fetch for `wf` if it is eligible this cycle.
      *  @return true iff a fetch was started (ends the fetch scan). */
     bool tryFetch(Wavefront *wf, Cycle now);
@@ -211,8 +222,9 @@ class ComputeUnit : public stats::Group
     /** Live wavefronts, oldest first (Wavefront::olderThan). Kept
      *  sorted incrementally: dispatch appends (dispatchSeq is
      *  monotonic, so the tail is always the youngest), retirement
-     *  unlinks in O(1). Replaces the per-tick vector allocation and
-     *  full std::sort the issue stage used to pay. */
+     *  unlinks in O(1), so the issue stage neither allocates nor
+     *  sorts per tick. The fast-forward scans walk it too, so none of
+     *  them visits an empty slot. */
     Wavefront *ageHead = nullptr;
     Wavefront *ageTail = nullptr;
 

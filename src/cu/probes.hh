@@ -7,7 +7,8 @@
  * helpers are written for speed — but they are *exact*: each one
  * produces bit-identical statistics to the obvious sort-based
  * reference implementation (tests/test_properties.cc asserts this over
- * randomized masks, widths, and lane values).
+ * randomized masks, widths, and lane values, and over rows built so
+ * that their values collide in the uniqueness hash).
  */
 
 #ifndef LAST_CU_PROBES_HH
@@ -23,14 +24,17 @@ namespace last::cu
 
 /**
  * Exact lane-value uniqueness counter: an open-addressed scratch hash
- * sized for one wavefront (64 lanes in 128 slots, load factor <= 1/2).
+ * sized for one wavefront (at most 64 lanes in 1024 slots, load
+ * factor <= 1/16).
  *
- * Counting distinct values needs no ordering, so the old per-operand
- * 64-lane copy + std::sort + std::unique is replaced by one linear
- * insert pass. Slots are invalidated by generation stamp instead of
- * clearing, so a probe costs only the lanes it actually visits; lanes
- * are visited via count-trailing-zeros over the exec mask, never by
- * testing all 64 bits.
+ * Counting distinct values needs no ordering, so a count is one
+ * linear insert pass, not a sort. The table is sparse because
+ * collisions are what cost: the rows that get past the
+ * broadcast/ascending pre-scan are mostly full-mask rows of distinct
+ * floats or gathered data. Occupancy is a 16-word bitmap cleared per
+ * count (128 B), so a count touches no value slot its lanes do not
+ * hash to. Lanes are visited by count-trailing-zeros over the mask,
+ * never by testing all 64 bits.
  */
 class LaneUniqCounter
 {
@@ -79,34 +83,40 @@ class LaneUniqCounter
             if (ascending)
                 return popCount(mask);
         }
-        ++gen;
+        for (auto &w : used)
+            w = 0;
         unsigned uniq = 0;
-        for (uint64_t m = mask; m; m &= m - 1) {
-            uint32_t v = lanes[findLsb(m)];
-            // Fibonacci hashing spreads the common small-integer and
-            // stride patterns; linear probing resolves collisions.
-            unsigned h = (v * 0x9e3779b9u) >> (32 - SlotBits);
-            while (true) {
-                if (stamp[h] != gen) {
-                    stamp[h] = gen;
-                    val[h] = v;
-                    ++uniq;
-                    break;
-                }
-                if (val[h] == v)
-                    break;
-                h = (h + 1) & (Slots - 1);
-            }
-        }
+        for (uint64_t m = mask; m; m &= m - 1)
+            uniq += insert(lanes[findLsb(m)]);
         return uniq;
     }
 
   private:
-    static constexpr unsigned SlotBits = 7;
-    static constexpr unsigned Slots = 1u << SlotBits; // 2x wavefront
-    uint32_t val[Slots] = {};
-    uint64_t stamp[Slots] = {}; // 0 = never used (gen starts at 1)
-    uint64_t gen = 0;
+    static constexpr unsigned SlotBits = 10;
+    static constexpr unsigned Slots = 1u << SlotBits; // 16x wavefront
+
+    /** Add v to the table; 1 if it was not there yet. */
+    unsigned
+    insert(uint32_t v)
+    {
+        // Fibonacci hashing spreads the common small-integer and
+        // stride patterns; linear probing resolves collisions.
+        unsigned h = (v * 0x9e3779b9u) >> (32 - SlotBits);
+        while (true) {
+            const uint64_t bit = 1ull << (h % 64);
+            if (!(used[h / 64] & bit)) {
+                used[h / 64] |= bit;
+                val[h] = v;
+                return 1;
+            }
+            if (val[h] == v)
+                return 0;
+            h = (h + 1) & (Slots - 1);
+        }
+    }
+
+    uint32_t val[Slots] = {}; ///< valid where `used` has the bit
+    uint64_t used[Slots / 64] = {};
 };
 
 /**

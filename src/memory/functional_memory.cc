@@ -1,74 +1,25 @@
 #include "memory/functional_memory.hh"
 
-#include "common/bitfield.hh"
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace last::mem
 {
 
-FunctionalMemory::Page &
-FunctionalMemory::pageFor(Addr addr)
-{
-    Addr vpn = addr / PageBytes;
-    if (vpn == writeVpn)
-        return *writePage;
-    auto &slot = pages[vpn];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        slot->fill(0);
-        // A read memo may have recorded this page as absent.
-        if (readVpn == vpn)
-            readPage = slot.get();
-    }
-    writeVpn = vpn;
-    writePage = slot.get();
-    return *slot;
-}
-
-const FunctionalMemory::Page *
-FunctionalMemory::pageForRead(Addr addr)
-{
-    Addr vpn = addr / PageBytes;
-    if (vpn == readVpn)
-        return readPage;
-    auto it = pages.find(vpn);
-    readVpn = vpn;
-    readPage = it == pages.end() ? nullptr : it->second.get();
-    return readPage;
-}
-
 void
-FunctionalMemory::touchLines(Addr vpn, uint64_t mask)
+FunctionalMemory::memoize(Addr vpn, bool create)
 {
-    if (vpn != touchVpn) {
-        touchVpn = vpn;
-        touchMask = &touchedMasks[vpn];
+    if (vpn != memoVpn) {
+        auto it = pages.find(vpn);
+        memoVpn = vpn;
+        memoPage = it == pages.end() ? nullptr : it->second.get();
+        memoLines = &touchedMasks[vpn];
     }
-    uint64_t added = mask & ~*touchMask;
-    if (added) {
-        *touchMask |= added;
-        touchedLineCount += popCount(added);
-    }
-}
-
-void
-FunctionalMemory::touch(Addr addr, size_t len)
-{
-    Addr first = addr / LineBytes;
-    Addr last = (addr + (len ? len - 1 : 0)) / LineBytes;
-    while (true) {
-        Addr vpn = first / LinesPerPage;
-        Addr page_last = (vpn + 1) * LinesPerPage - 1;
-        Addr hi = last < page_last ? last : page_last;
-        unsigned lo_bit = unsigned(first % LinesPerPage);
-        unsigned hi_bit = unsigned(hi % LinesPerPage);
-        uint64_t mask =
-            (hi_bit == 63 ? ~0ull : ((1ull << (hi_bit + 1)) - 1)) &
-            ~((1ull << lo_bit) - 1);
-        touchLines(vpn, mask);
-        if (hi == last)
-            break;
-        first = hi + 1;
+    if (create && !memoPage) {
+        auto &slot = pages[vpn];
+        slot = std::make_unique<Page>(); // value-initialized: zeros
+        memoPage = slot.get();
     }
 }
 
@@ -92,40 +43,46 @@ FunctionalMemory::checkRange(Addr addr, size_t len, bool is_write) const
 }
 
 void
-FunctionalMemory::read(Addr addr, void *buf, size_t len)
+FunctionalMemory::readSlow(Addr addr, void *buf, size_t len)
 {
     checkRange(addr, len, false);
-    touch(addr, len);
     auto *out = static_cast<uint8_t *>(buf);
-    while (len > 0) {
+    do {
         Addr off = addr % PageBytes;
         size_t chunk = std::min<size_t>(len, PageBytes - off);
-        const Page *page = pageForRead(addr);
-        if (page)
-            std::memcpy(out, page->data() + off, chunk);
+        memoize(addr / PageBytes, false);
+        // A zero-length access still touches the line holding addr.
+        touchMemo(off, std::max<size_t>(chunk, 1));
+        if (chunk == 0)
+            break;
+        if (memoPage)
+            std::memcpy(out, memoPage->data() + off, chunk);
         else
             std::memset(out, 0, chunk);
         addr += chunk;
         out += chunk;
         len -= chunk;
-    }
+    } while (len > 0);
 }
 
 void
-FunctionalMemory::write(Addr addr, const void *buf, size_t len)
+FunctionalMemory::writeSlow(Addr addr, const void *buf, size_t len)
 {
     checkRange(addr, len, true);
-    touch(addr, len);
     const auto *in = static_cast<const uint8_t *>(buf);
-    while (len > 0) {
+    do {
         Addr off = addr % PageBytes;
         size_t chunk = std::min<size_t>(len, PageBytes - off);
-        Page &page = pageFor(addr);
-        std::memcpy(page.data() + off, in, chunk);
+        // A zero-length write touches its line but creates no page.
+        memoize(addr / PageBytes, chunk != 0);
+        touchMemo(off, std::max<size_t>(chunk, 1));
+        if (chunk == 0)
+            break;
+        std::memcpy(memoPage->data() + off, in, chunk);
         addr += chunk;
         in += chunk;
         len -= chunk;
-    }
+    } while (len > 0);
 }
 
 } // namespace last::mem

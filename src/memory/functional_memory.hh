@@ -9,13 +9,22 @@
  * re-allocates per kernel launch while GCN3 reuses a per-process
  * arena).
  *
- * Hot-path notes: the common access pattern is many consecutive
- * accesses to the same page, so both the data path and the footprint
- * probe memoize the last page they resolved (the maps are node-based,
- * so the cached pointers stay valid across rehashes). The footprint is
- * kept as one 64-bit touched-line bitmap per 4096 B page (64 lines of
- * 64 B) plus a running popcount, so footprintLines() is O(1) and
- * touch() is a compare + OR on the memoized page.
+ * Hot-path notes: every active lane of every load, store and atomic
+ * is one access, and consecutive lanes almost always stay inside one
+ * 4096 B page. One page memo (the last page an access resolved: its
+ * data, or nullptr while it is absent, and its footprint bitmap)
+ * serves them inline from this header: an access of len >= 1 that
+ * lies inside the memoized page copies its bytes (zeros on a read of
+ * an absent page) and ORs its line bits into the page's bitmap. The
+ * memo only ever holds a page that an earlier access reached through
+ * checkRange, so every address in it is below 2^48 and such an access
+ * cannot wrap. Everything else takes the one general out-of-line path
+ * (readSlow/writeSlow): the first touch of a page, a page-crossing
+ * access, len 0, a write to an absent page, the first access after
+ * resetFootprint, and every error. The maps are node-based, so the
+ * memoized pointers stay valid across rehashes. The footprint is kept
+ * as one 64-bit touched-line bitmap per 4096 B page (64 lines of
+ * 64 B) plus a running popcount, so footprintLines() is O(1).
  */
 
 #ifndef LAST_MEMORY_FUNCTIONAL_MEMORY_HH
@@ -28,6 +37,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/bitfield.hh"
 #include "common/types.hh"
 
 namespace last::mem
@@ -50,11 +60,35 @@ class FunctionalMemory
 
     /** Read len bytes at addr into buf. Unwritten memory reads 0.
      *  @throws MemoryError on out-of-range or wrap-around ranges. */
-    void read(Addr addr, void *buf, size_t len);
+    void
+    read(Addr addr, void *buf, size_t len)
+    {
+        const Addr off = addr % PageBytes;
+        if (addr / PageBytes == memoVpn && insidePage(off, len)) {
+            touchMemo(off, len);
+            if (memoPage)
+                std::memcpy(buf, memoPage->data() + off, len);
+            else
+                std::memset(buf, 0, len);
+            return;
+        }
+        readSlow(addr, buf, len);
+    }
 
     /** Write len bytes from buf at addr.
      *  @throws MemoryError on out-of-range or wrap-around ranges. */
-    void write(Addr addr, const void *buf, size_t len);
+    void
+    write(Addr addr, const void *buf, size_t len)
+    {
+        const Addr off = addr % PageBytes;
+        if (addr / PageBytes == memoVpn && memoPage &&
+            insidePage(off, len)) {
+            touchMemo(off, len);
+            std::memcpy(memoPage->data() + off, buf, len);
+            return;
+        }
+        writeSlow(addr, buf, len);
+    }
 
     /** Label attached to MemoryErrors (the workload or test driving
      *  this memory); helps attribute faults inside a parallel sweep. */
@@ -86,8 +120,9 @@ class FunctionalMemory
     {
         touchedMasks.clear();
         touchedLineCount = 0;
-        touchVpn = InvalidAddr;
-        touchMask = nullptr;
+        memoVpn = InvalidAddr;
+        memoPage = nullptr;
+        memoLines = nullptr;
     }
 
     /** Number of resident pages (for tests). */
@@ -96,11 +131,34 @@ class FunctionalMemory
   private:
     using Page = std::array<uint8_t, PageBytes>;
 
-    Page &pageFor(Addr addr);
-    const Page *pageForRead(Addr addr);
+    void readSlow(Addr addr, void *buf, size_t len);
+    void writeSlow(Addr addr, const void *buf, size_t len);
     void checkRange(Addr addr, size_t len, bool is_write) const;
-    void touch(Addr addr, size_t len);
-    void touchLines(Addr vpn, uint64_t mask);
+    /** True iff len >= 1 and [off, off + len) lies inside one page
+     *  (len 0 wraps len - 1 past any bound). */
+    static bool
+    insidePage(Addr off, size_t len)
+    {
+        return len - 1 < PageBytes - off;
+    }
+
+    /** Point the memo at page `vpn`, creating the page if `create`. */
+    void memoize(Addr vpn, bool create);
+
+    /** Mark the lines of [off, off + len) of the memoized page touched
+     *  (len >= 1, off + len <= PageBytes). */
+    void
+    touchMemo(Addr off, size_t len)
+    {
+        const unsigned lo = unsigned(off / LineBytes);
+        const unsigned hi = unsigned((off + len - 1) / LineBytes);
+        const uint64_t lines = (~0ull >> (63 - hi)) & (~0ull << lo);
+        const uint64_t added = lines & ~*memoLines;
+        if (added) {
+            *memoLines |= added;
+            touchedLineCount += popCount(added);
+        }
+    }
 
     std::unordered_map<Addr, std::unique_ptr<Page>> pages;
 
@@ -108,13 +166,12 @@ class FunctionalMemory
     std::unordered_map<Addr, uint64_t> touchedMasks;
     uint64_t touchedLineCount = 0;
 
-    /** @{ Last-page memos (same-page access fast path). */
-    Addr writeVpn = InvalidAddr;
-    Page *writePage = nullptr;
-    Addr readVpn = InvalidAddr;
-    const Page *readPage = nullptr;
-    Addr touchVpn = InvalidAddr;
-    uint64_t *touchMask = nullptr;
+    /** @{ The page memo: the last page an access resolved, its data
+     *  (nullptr while absent) and its touched-line bitmap.
+     *  InvalidAddr = none (no address maps to that page number). */
+    Addr memoVpn = InvalidAddr;
+    Page *memoPage = nullptr;
+    uint64_t *memoLines = nullptr;
     /** @} */
 
     std::string ownerLabel;

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
+#include <set>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/error.hh"
 #include "memory/cache.hh"
 #include "memory/dram.hh"
 #include "memory/functional_memory.hh"
@@ -58,6 +61,82 @@ TEST(FunctionalMemory, FootprintCountsLines)
     m.resetFootprint();
     EXPECT_EQ(m.footprintLines(), 0u);
     EXPECT_EQ(m.read<uint32_t>(0), 1u); // contents survive
+}
+
+TEST(FunctionalMemory, LaneAccessesMatchByteModel)
+{
+    // One seeded stream of 1-, 4-, 8- and 16-byte reads and writes,
+    // checked after every operation against a byte map (absent bytes
+    // read 0), the set of 64 B lines touched since the last
+    // resetFootprint, and the set of pages written. The stream slides
+    // over fresh pages (so a page is read while absent, then written
+    // and re-read), crosses page ends, resets the footprint twice,
+    // and works in the last pages below 2^48, crossing that limit.
+    constexpr Addr Page = FunctionalMemory::PageBytes;
+    constexpr Addr Top = FunctionalMemory::AddrSpaceBytes;
+    const size_t sizes[] = {1, 4, 8, 16};
+    FunctionalMemory m;
+    std::map<Addr, uint8_t> bytes;
+    std::set<Addr> lines, pages;
+    std::mt19937_64 rng(0xb17e5);
+    unsigned errors = 0, crossings = 0, absent_reads = 0;
+    for (unsigned step = 0; step < 30000; ++step) {
+        if (step == 10000 || step == 20000) {
+            m.resetFootprint();
+            lines.clear();
+        }
+        const size_t len = sizes[rng() % 4];
+        Addr page = rng() % 16 == 0 ? Top / Page - 1 - rng() % 2
+                                    : 0x100 + step / 100 + rng() % 3;
+        Addr off = rng() % 4 == 0 ? Page - 1 - rng() % 20 : rng() % Page;
+        Addr addr = page * Page + off;
+        const bool is_write = rng() % 3 == 0;
+        SCOPED_TRACE(testing::Message()
+                     << "step " << step << (is_write ? " write " : " read ")
+                     << len << " B at 0x" << std::hex << addr);
+
+        uint8_t buf[16], want[16];
+        for (size_t i = 0; i < len; ++i) {
+            buf[i] = uint8_t(rng());
+            auto it = bytes.find(addr + i);
+            want[i] = it == bytes.end() ? 0 : it->second;
+        }
+        const bool fits = addr + len <= Top;
+        if (fits && !is_write && !pages.count(addr / Page))
+            ++absent_reads;
+        if (fits && addr / Page != (addr + len - 1) / Page)
+            ++crossings;
+        try {
+            if (is_write)
+                m.write(addr, buf, len);
+            else
+                m.read(addr, buf, len);
+            ASSERT_TRUE(fits) << "no MemoryError past 2^48";
+        } catch (const MemoryError &e) {
+            ASSERT_FALSE(fits) << e.what();
+            EXPECT_EQ(e.faultAddr, addr);
+            EXPECT_EQ(e.accessSize, len);
+            EXPECT_EQ(e.isWrite, is_write);
+            ++errors;
+        }
+        if (fits) {
+            for (size_t i = 0; i < len; ++i) {
+                if (is_write)
+                    bytes[addr + i] = buf[i];
+                else
+                    ASSERT_EQ(buf[i], want[i]) << "byte " << i;
+                lines.insert((addr + i) / 64);
+                if (is_write)
+                    pages.insert((addr + i) / Page);
+            }
+        }
+        ASSERT_EQ(m.footprintLines(), lines.size());
+        ASSERT_EQ(m.numPages(), pages.size());
+    }
+    // The stream reached every case it claims to.
+    EXPECT_GT(errors, 20u);
+    EXPECT_GT(crossings, 100u);
+    EXPECT_GT(absent_reads, 100u);
 }
 
 namespace

@@ -558,6 +558,58 @@ TEST(ProbeFastPaths, HashUniqCountMatchesSortReference)
     }
 }
 
+TEST(ProbeFastPaths, HashUniqCountSurvivesCollisionClusters)
+{
+    // Random rows almost never collide in a sparse table, so build
+    // rows that do: a value v hashes to v * 0x9e3779b9, so v =
+    // (top | j) * Inverse hashes to top | j. With top's high 26 bits
+    // all ones (or all zeros, or only the first set), up to 64
+    // distinct values share the last (first, middle) home slot at
+    // every table size up to 2^26 slots, and the last slot's cluster
+    // probes across the table end to slot 0.
+    constexpr uint32_t Inverse = 0x144cbc89u; // 0x9e3779b9 * this == 1
+    static_assert(uint32_t(0x9e3779b9u * Inverse) == 1u);
+    const uint32_t tops[] = {0xffffffc0u, 0u, 0x80000000u};
+    auto homed = [&](unsigned cluster, uint32_t j) {
+        return (tops[cluster] | j) * Inverse;
+    };
+    cu::LaneUniqCounter counter;
+    XorShift rng{0xc011de5ull};
+    for (int iter = 0; iter < 3000; ++iter) {
+        uint64_t mask = rng.next();
+        switch (iter % 4) {
+          case 0:
+          case 1: mask = ~0ull; break;                    // full WF
+          case 2: mask &= rng.next(); break;               // partial WF
+          default: mask = 1ull << (rng.next() % 64); break; // single lane
+        }
+        // 64 distinct values per cluster fill its whole run; 8 and 2
+        // mix in duplicates. One cluster is always the wrapping one.
+        const uint32_t spread = (iter / 4) % 3 == 0   ? 64
+                                : (iter / 4) % 3 == 1 ? 8
+                                                      : 2;
+        const unsigned clusters = 1 + unsigned(rng.next() % 3);
+        uint32_t lanes[64];
+        if (spread == 64 && clusters == 1) {
+            // All 64 values of the wrapping cluster, shuffled.
+            uint32_t perm[64];
+            for (uint32_t j = 0; j < 64; ++j)
+                perm[j] = j;
+            for (unsigned j = 63; j > 0; --j)
+                std::swap(perm[j], perm[rng.next() % (j + 1)]);
+            for (unsigned l = 0; l < 64; ++l)
+                lanes[l] = homed(0, perm[l]);
+        } else {
+            for (auto &v : lanes)
+                v = homed(unsigned(rng.next() % clusters),
+                          uint32_t(rng.next() % spread));
+        }
+        EXPECT_EQ(counter.count(lanes, mask),
+                  refUniqueCount(lanes, mask))
+            << "iter " << iter << " mask " << mask;
+    }
+}
+
 TEST(ProbeFastPaths, CtzIterationVisitsExactlyTheMaskAscending)
 {
     XorShift rng{0xabcdull};
