@@ -25,7 +25,7 @@ fail() {
 
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release >/dev/null ||
     fail "configure"
-cmake --build build-perf -j --target last_sweep >/dev/null ||
+cmake --build build-perf -j "$(nproc)" --target last_sweep >/dev/null ||
     fail "build"
 sweep=$repo/build-perf/tools/last_sweep
 

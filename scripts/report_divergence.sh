@@ -31,7 +31,7 @@ fail() {
 # sweep every workload twice, which is painful at RelWithDebInfo speed.
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release >/dev/null ||
     fail "configure"
-cmake --build build-perf -j --target last_obs >/dev/null ||
+cmake --build build-perf -j "$(nproc)" --target last_obs >/dev/null ||
     fail "build"
 
 # --json output is written by last_obs through atomicWriteFile (temp +

@@ -30,7 +30,7 @@ fail() {
 
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release >/dev/null ||
     fail "configure"
-cmake --build build-perf -j --target last_serve last_obs >/dev/null ||
+cmake --build build-perf -j "$(nproc)" --target last_serve last_obs >/dev/null ||
     fail "build"
 serve=$repo/build-perf/tools/last_serve
 obs=$repo/build-perf/tools/last_obs

@@ -22,7 +22,7 @@ fail() {
 # Regular build + full suite. A broken build makes every later stage
 # meaningless, so only configuration/build errors abort early.
 cmake -B build -S . || exit 1
-cmake --build build -j || exit 1
+cmake --build build -j "$(nproc)" || exit 1
 (cd build && ctest --output-on-failure -j) || fail "full suite"
 
 # TSan pass: build only the test binary and run the parallel-driver,
@@ -33,7 +33,7 @@ cmake --build build -j || exit 1
 # the mode matrix, which runs the whole matrix on the pool once per
 # mode. CI's tsan job runs the same filter.
 if cmake -B build-tsan -S . -DLAST_TSAN=ON &&
-    cmake --build build-tsan -j --target last_tests; then
+    cmake --build build-tsan -j "$(nproc)" --target last_tests; then
     LAST_JOBS=4 ./build-tsan/tests/last_tests \
         --gtest_filter='ParallelDriver.*:SweepQuarantine.*:FastForward.*:ModeMatrix.*:FunctionalMemoryFootprint.*:ExecEngine.*:ServeSocket.*:PtxlExecEngine.*:RandomKernelDifferential.*:Table5/WorkloadDifferential.*' ||
         fail "TSan suite"
@@ -57,7 +57,7 @@ fi
 # page.
 # CI's asan job runs the same filter.
 if cmake -B build-asan -S . -DLAST_ASAN=ON &&
-    cmake --build build-asan -j --target last_tests; then
+    cmake --build build-asan -j "$(nproc)" --target last_tests; then
     ./build-asan/tests/last_tests \
         --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*:Ops/IlLaneTable.*:Ops/IlValueSweep.*:IlLaneSemantics.*:GoldenCache.*:Ops/Gcn3LaneTable.*:Ops/Gcn3ValuSweep.*:Cache.*:ProbeFastPaths.*:FunctionalMemory*' ||
         fail "ASan/UBSan suite"

@@ -34,11 +34,13 @@
  *    tests/test_lane_ops.cc require a NaN, or a zero, from both there).
  *    No workload feeds such operands.
  *  - flags/fu/size: the virtual metadata, pre-flattened; latency()
- *    derives the result latency from fu and flags.
+ *    derives the result latency from fu and flags, and instClass is
+ *    Figure 5's issue class, which the CU counts and traces.
  *  - `interlocked`: the level's dependence policy, so the CU's issue
  *    path never asks which ISA it runs.
  *  - `ops`: the RegOperand list copied into a fixed array (same
  *    order), for the hazard probe / scoreboard / bank-conflict walks.
+ *    No scalar operand reaches past RegExecHi (predecode panics).
  *  - vecRd/vecWr: the vector operand registers width-expanded in
  *    operand order — exactly the sequence probeVectorOperands used to
  *    derive from regOps() per dynamic instruction. Order matters: the
@@ -85,6 +87,7 @@ struct ExecMeta
 
     uint32_t flags = 0;             ///< InstFlags, pre-flattened
     FuType fu = FuType::Special;
+    InstClass instClass = InstClass::Misc; ///< Figure 5, from fu/flags
     uint8_t size = 0;               ///< encoded bytes (4..16)
 
     /** Dependence policy, set by the ISA's predecode(). An interlocked

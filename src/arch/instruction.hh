@@ -41,6 +41,21 @@ enum class FuType
 
 const char *fuTypeName(FuType fu);
 
+/** Figure 5's issue class: the functional unit, with GCN3's s_waitcnt
+ *  counted apart and the sequencer's other instructions (nop,
+ *  barrier, endpgm) as Misc. Predecode resolves it once
+ *  (ExecMeta::instClass); the CU registers its class counters in this
+ *  order, and InstIssue trace events carry it. */
+enum class InstClass : uint8_t
+{
+    VAlu, SAlu, VMem, SMem, Lds, Branch, Waitcnt, Misc,
+};
+
+constexpr unsigned NumInstClasses = unsigned(InstClass::Misc) + 1;
+
+/** Lower-case class name ("valu" ... "misc"), the InstIssue event's. */
+const char *instClassName(InstClass c);
+
 /** Register class of an operand. */
 enum class RegClass : uint8_t
 {

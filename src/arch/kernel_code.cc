@@ -22,6 +22,45 @@ fuTypeName(FuType fu)
     return "?";
 }
 
+const char *
+instClassName(InstClass c)
+{
+    switch (c) {
+      case InstClass::VAlu: return "valu";
+      case InstClass::SAlu: return "salu";
+      case InstClass::VMem: return "vmem";
+      case InstClass::SMem: return "smem";
+      case InstClass::Lds: return "lds";
+      case InstClass::Branch: return "branch";
+      case InstClass::Waitcnt: return "waitcnt";
+      case InstClass::Misc: return "misc";
+    }
+    return "misc";
+}
+
+namespace
+{
+
+/** Figure 5's classification of one instruction. */
+InstClass
+classOf(const ExecMeta &m)
+{
+    if (m.is(IsWaitcnt))
+        return InstClass::Waitcnt;
+    switch (m.fu) {
+      case FuType::VAlu: return InstClass::VAlu;
+      case FuType::SAlu: return InstClass::SAlu;
+      case FuType::VMem: return InstClass::VMem;
+      case FuType::SMem: return InstClass::SMem;
+      case FuType::Lds: return InstClass::Lds;
+      case FuType::Branch: return InstClass::Branch;
+      case FuType::Special: return InstClass::Misc;
+    }
+    return InstClass::Misc;
+}
+
+} // namespace
+
 KernelCode::KernelCode(IsaKind isa, std::string name)
     : isaKind(isa), kernelName(std::move(name))
 {
@@ -82,6 +121,7 @@ KernelCode::buildMetas() const
         m.inst = &in;
         m.flags = in.flags();
         m.fu = in.fuType();
+        m.instClass = classOf(m);
         m.size = uint8_t(sizeOf(i));
 
         const auto &ops = in.regOps();
@@ -89,8 +129,16 @@ KernelCode::buildMetas() const
                  "%s: %zu operands exceed ExecMeta::MaxOps",
                  in.disassemble().c_str(), ops.size());
         m.numOps = uint8_t(ops.size());
-        for (size_t k = 0; k < ops.size(); ++k)
+        for (size_t k = 0; k < ops.size(); ++k) {
+            // The CU's scalar ready table ends at EXEC, the highest
+            // scalar register any level declares.
+            panic_if(ops[k].cls == RegClass::Scalar &&
+                         ops[k].idx + ops[k].width > RegExecHi + 1,
+                     "%s: scalar operand s%u x%u past s%u",
+                     in.disassemble().c_str(), unsigned(ops[k].idx),
+                     unsigned(ops[k].width), unsigned(RegExecHi));
             m.ops[k] = ops[k];
+        }
 
         // Width-expanded vector register lists, preserving operand
         // order (the reuse-distance probe is order-sensitive) and

@@ -11,30 +11,6 @@
 namespace last::cu
 {
 
-namespace
-{
-
-/** Issue-class nibble for InstIssue trace events (computed only when
- *  tracing; mirrors the Figure 5 classification switch below). */
-obs::InstClass
-traceClassOf(const arch::ExecMeta &m)
-{
-    if (m.is(arch::IsWaitcnt))
-        return obs::InstClass::Waitcnt;
-    switch (m.fu) {
-      case arch::FuType::VAlu: return obs::InstClass::VAlu;
-      case arch::FuType::SAlu: return obs::InstClass::SAlu;
-      case arch::FuType::VMem: return obs::InstClass::VMem;
-      case arch::FuType::SMem: return obs::InstClass::SMem;
-      case arch::FuType::Lds: return obs::InstClass::Lds;
-      case arch::FuType::Branch: return obs::InstClass::Branch;
-      case arch::FuType::Special: return obs::InstClass::Misc;
-    }
-    return obs::InstClass::Misc;
-}
-
-} // namespace
-
 ComputeUnit::ComputeUnit(const std::string &name, const GpuConfig &cfg,
                          EventQueue &eq, mem::MemLevel *l1d,
                          mem::MemLevel *l1i, mem::MemLevel *scalar_d,
@@ -42,14 +18,16 @@ ComputeUnit::ComputeUnit(const std::string &name, const GpuConfig &cfg,
                          stats::Group *parent)
     : stats::Group(name, parent),
       dynInsts(this, "dynInsts", "instructions issued"),
-      valuInsts(this, "valuInsts", "vector ALU instructions"),
-      saluInsts(this, "saluInsts", "scalar ALU instructions"),
-      vmemInsts(this, "vmemInsts", "vector memory instructions"),
-      smemInsts(this, "smemInsts", "scalar memory instructions"),
-      ldsInsts(this, "ldsInsts", "LDS instructions"),
-      branchInsts(this, "branchInsts", "branch instructions"),
-      waitcntInsts(this, "waitcntInsts", "s_waitcnt instructions"),
-      miscInsts(this, "miscInsts", "nop/barrier/endpgm instructions"),
+      classInsts{
+          {this, "valuInsts", "vector ALU instructions"},
+          {this, "saluInsts", "scalar ALU instructions"},
+          {this, "vmemInsts", "vector memory instructions"},
+          {this, "smemInsts", "scalar memory instructions"},
+          {this, "ldsInsts", "LDS instructions"},
+          {this, "branchInsts", "branch instructions"},
+          {this, "waitcntInsts", "s_waitcnt instructions"},
+          {this, "miscInsts", "nop/barrier/endpgm instructions"},
+      },
       busyCycles(this, "busyCycles", "cycles with resident work"),
       vrfBankConflicts(this, "vrfBankConflicts",
                        "VRF port conflicts (Figure 6)"),
@@ -97,8 +75,7 @@ ComputeUnit::ageListLink(Wavefront &wf)
     // always the youngest: append at the tail and the list stays
     // sorted by Wavefront::olderThan without any search.
     assert(!ageTail || Wavefront::olderThan(*ageTail, wf));
-    if (wf.slot < 64)
-        liveSlotMask |= 1ull << wf.slot;
+    liveSlotMask |= 1ull << wf.slot;
     wf.agePrev = ageTail;
     wf.ageNext = nullptr;
     if (ageTail)
@@ -111,8 +88,7 @@ ComputeUnit::ageListLink(Wavefront &wf)
 void
 ComputeUnit::ageListUnlink(Wavefront &wf)
 {
-    if (wf.slot < 64)
-        liveSlotMask &= ~(1ull << wf.slot);
+    liveSlotMask &= ~(1ull << wf.slot);
     if (wf.agePrev)
         wf.agePrev->ageNext = wf.ageNext;
     else
@@ -254,7 +230,7 @@ ComputeUnit::accept(const WorkgroupTask &task)
         wf->dispatchSeq = nextDispatchSeq++;
         ageListLink(*wf);
         ++activeWfs;
-        if (tracing())
+        if (trace)
             trace->emit(obs::TraceKind::WfStart, eq.now(), 0, wf->slot,
                         task.wgId);
     }
@@ -300,8 +276,7 @@ ComputeUnit::operandsReadyAt(const Wavefront &wf,
         if (op.cls != arch::RegClass::Scalar)
             continue;
         for (unsigned w = 0; w < op.width; ++w)
-            t = std::max(t, wf.sregReady[std::min<unsigned>(op.idx + w,
-                                                            127)]);
+            t = std::max(t, wf.sregReady[op.idx + w]);
     }
     return t;
 }
@@ -319,14 +294,12 @@ ComputeUnit::nextProgressCycle(Cycle now) const
             return now;
         if (!wf.runnable() || wf.ibCount == 0)
             continue; // barrier release / fetch fill: event driven
+        // The first cycle chargeWait lets it issue: past all three of
+        // its gates. An unmet s_waitcnt reads "never": an event-queue
+        // decrement unblocks it.
         const arch::ExecMeta &m = wf.metas[wf.pcIdx];
-        // An unmet s_waitcnt reads "never": an event-queue decrement
-        // unblocks it.
-        Cycle start =
-            std::max({now, wf.blockedUntil, operandsReadyAt(wf, m)});
-        if (m.fu != arch::FuType::Special)
-            start = std::max(start, fuBusyUntil[fuIndex(wf, m)]);
-        t = std::min(t, start);
+        t = std::min(t, std::max({now, wf.blockedUntil, fuFreeAt(wf, m),
+                                  operandsReadyAt(wf, m)}));
     }
     return t;
 }
@@ -337,34 +310,44 @@ ComputeUnit::chargeSkippedCycles(Cycle now, Cycle k)
     if (activeWfs == 0 || k == 0)
         return;
     busyCycles += double(k);
-    Cycle end = now + k;
-    // Only live wavefronts stall, and each stall counter adds
+    // Only live wavefronts wait, and each stall counter adds
     // integer-valued doubles, so the sum is exact in any order.
-    for (const Wavefront *wfp = ageHead; wfp; wfp = wfp->ageNext) {
-        const Wavefront &wf = *wfp;
-        if (!wf.runnable())
-            continue;
-        // issueStage skips (without counting) while blockedUntil > M.
-        Cycle lo = std::max(now, wf.blockedUntil);
-        if (lo >= end)
-            continue;
-        if (wf.ibCount == 0) {
-            ibEmptyStalls += double(end - lo);
-            continue;
-        }
-        const arch::ExecMeta &m = wf.metas[wf.pcIdx];
-        Cycle fu_free = lo;
-        if (m.fu != arch::FuType::Special)
-            fu_free = std::max(lo, fuBusyUntil[fuIndex(wf, m)]);
-        if (fu_free > lo)
-            fuConflictStalls += double(std::min(end, fu_free) - lo);
-        if (fu_free >= end)
-            continue;
-        // The remaining cycles can only be dependency stalls: the skip
-        // target never goes past a cycle where this wavefront could
-        // have issued.
-        depStalls(m) += double(end - fu_free);
+    for (Wavefront *wf = ageHead; wf; wf = wf->ageNext)
+        if (wf->runnable())
+            chargeWait(*wf, now, now + k);
+}
+
+inline bool
+ComputeUnit::chargeWait(Wavefront &wf, Cycle lo, Cycle end)
+{
+    lo = std::max(lo, wf.blockedUntil);
+    if (lo >= end)
+        return false;
+    // A fetch fill is an event, so an IB empty at lo stays empty.
+    if (wf.ibCount == 0) {
+        ibEmptyStalls += double(end - lo);
+        return false;
     }
+    const arch::ExecMeta &m = wf.metas[wf.pcIdx];
+    Cycle fu_free = fuFreeAt(wf, m);
+    if (fu_free > lo) {
+        fuConflictStalls += double(std::min(end, fu_free) - lo);
+        if (fu_free >= end)
+            return false;
+        lo = fu_free;
+    }
+    Cycle ready = operandsReadyAt(wf, m);
+    if (ready <= lo)
+        return true;
+    assert(ready >= end);
+    bool waitcnt = m.is(arch::IsWaitcnt);
+    (waitcnt ? waitcntStalls : scoreboardStalls) += double(end - lo);
+    // The DepStall span runs from here to the issue (issueInst).
+    if (trace && wf.stallSince == InvalidCycle) {
+        wf.stallSince = lo;
+        wf.stallKind = waitcnt ? 1 : 0;
+    }
+    return false;
 }
 
 int
@@ -475,33 +458,20 @@ ComputeUnit::fetchStage(Cycle now)
     // its latency/misses come from the cache model). The round-robin
     // scan visits only slots holding live wavefronts: two ctz passes
     // over liveSlotMask (bits >= fetchRr, then the wrapped remainder)
-    // reproduce the old (fetchRr + k) % n order exactly.
+    // visit them in (fetchRr + k) % n order.
     unsigned n = unsigned(slots.size());
-    if (n <= 64) {
-        uint64_t live = liveSlotMask;
-        uint64_t hi = live & (fetchRr < 64 ? ~0ull << fetchRr : 0);
-        for (uint64_t m = hi; m; m &= m - 1) {
-            unsigned s = findLsb(m);
-            if (tryFetch(slots[s].get(), now)) {
-                fetchRr = (s + 1) % n;
-                return;
-            }
+    uint64_t live = liveSlotMask;
+    uint64_t hi = live & (~0ull << fetchRr);
+    for (uint64_t m = hi; m; m &= m - 1) {
+        unsigned s = findLsb(m);
+        if (tryFetch(slots[s].get(), now)) {
+            fetchRr = (s + 1) % n;
+            return;
         }
-        for (uint64_t m = live & ~hi; m; m &= m - 1) {
-            unsigned s = findLsb(m);
-            if (tryFetch(slots[s].get(), now)) {
-                fetchRr = (s + 1) % n;
-                return;
-            }
-        }
-        return;
     }
-    for (unsigned k = 0; k < n; ++k) {
-        unsigned s = (fetchRr + k) % n;
-        Wavefront *wf = slots[s].get();
-        if (!wf->active)
-            continue;
-        if (tryFetch(wf, now)) {
+    for (uint64_t m = live & ~hi; m; m &= m - 1) {
+        unsigned s = findLsb(m);
+        if (tryFetch(slots[s].get(), now)) {
             fetchRr = (s + 1) % n;
             return;
         }
@@ -642,39 +612,9 @@ ComputeUnit::issueStage(Cycle now)
         if (wf->runnable())
             issueOrder.push_back(wf);
 
-    bool fuIssued[NumFu] = {};
-    for (Wavefront *wf : issueOrder) {
-        if (wf->blockedUntil > now)
-            continue;
-        if (wf->ibCount == 0) {
-            ++ibEmptyStalls;
-            continue;
-        }
-        const arch::ExecMeta &m = wf->metas[wf->pcIdx];
-        // Special instructions (nop/waitcnt/barrier/endpgm) are
-        // handled by the sequencer and occupy no functional unit.
-        bool needs_fu = m.fu != arch::FuType::Special;
-        unsigned fu = fuIndex(*wf, m);
-        if (needs_fu && (fuIssued[fu] || fuBusyUntil[fu] > now)) {
-            ++fuConflictStalls;
-            continue;
-        }
-        if (operandsReadyAt(*wf, m) > now) {
-            ++depStalls(m);
-            // Tracing: remember where this dependency stall began; the
-            // whole stall is emitted as one span when the WF issues
-            // (works under fast-forward, which always observes at
-            // least one stalled tick before jumping).
-            if (tracing() && wf->stallSince == InvalidCycle) {
-                wf->stallSince = now;
-                wf->stallKind = m.is(arch::IsWaitcnt) ? 1 : 0;
-            }
-            continue;
-        }
-        if (needs_fu)
-            fuIssued[fu] = true;
-        issueInst(*wf, m, now);
-    }
+    for (Wavefront *wf : issueOrder)
+        if (chargeWait(*wf, now, now + 1))
+            issueInst(*wf, wf->metas[wf->pcIdx], now);
 }
 
 void
@@ -684,28 +624,16 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
     progressLastTick = true;
 
     // Tracing: close the dependency-stall span that ends with this
-    // issue (opened in issueStage on the first stalled tick).
-    if (tracing() && wf.stallSince != InvalidCycle) {
+    // issue (opened by chargeWait at its first operand cycle).
+    if (trace && wf.stallSince != InvalidCycle) {
         trace->emit(obs::TraceKind::DepStall, wf.stallSince,
                     now - wf.stallSince, wf.slot, wf.stallKind);
         wf.stallSince = InvalidCycle;
     }
 
-    // --- classification (Figure 5) ---
+    // --- classification (Figure 5, resolved at predecode) ---
     ++dynInsts;
-    if (m.is(arch::IsWaitcnt)) {
-        ++waitcntInsts;
-    } else {
-        switch (m.fu) {
-          case arch::FuType::VAlu: ++valuInsts; break;
-          case arch::FuType::SAlu: ++saluInsts; break;
-          case arch::FuType::VMem: ++vmemInsts; break;
-          case arch::FuType::SMem: ++smemInsts; break;
-          case arch::FuType::Lds: ++ldsInsts; break;
-          case arch::FuType::Branch: ++branchInsts; break;
-          case arch::FuType::Special: ++miscInsts; break;
-        }
-    }
+    ++classInsts[unsigned(m.instClass)];
 
     // --- hazard probe: nothing interlocked this issue, so software
     // dependence management must have covered every read ---
@@ -715,7 +643,7 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
             for (unsigned w = 0; w < op.width; ++w) {
                 Cycle ready = op.cls == arch::RegClass::Vector
                     ? wf.vregReady[op.idx + w]
-                    : wf.sregReady[std::min<unsigned>(op.idx + w, 127)];
+                    : wf.sregReady[op.idx + w];
                 if (!op.isDef && ready > now) {
                     ++hazardViolations;
                     break;
@@ -771,8 +699,11 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
     }
 
     // --- functional unit occupancy (bank conflicts add gather
-    // cycles) ---
+    // cycles). Special instructions (nop/waitcnt/barrier/endpgm) are
+    // handled by the sequencer and occupy no functional unit. ---
     unsigned fu = fuIndex(wf, m);
+    if (m.fu != arch::FuType::Special)
+        fuTakenUntil[fu] = now + 1;
     if (m.fu == arch::FuType::VAlu) {
         // A 64-lane WF occupies its 16-lane SIMD for 4 cycles.
         fuBusyUntil[fu] = now + cfg.wavefrontSize / cfg.simdWidth +
@@ -826,7 +757,7 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
             for (unsigned w = 0; w < op.width; ++w) {
                 if (op.cls == arch::RegClass::Vector)
                     wf.vregReady[op.idx + w] = result_ready;
-                else if (op.idx + w < 128)
+                else
                     wf.sregReady[op.idx + w] = result_ready;
             }
         }
@@ -834,11 +765,10 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
 
     // Tracing: one span per issued instruction, issue -> result-ready
     // (GCN3 non-memory results forward in 1 cycle; see above).
-    if (tracing())
+    if (trace)
         trace->emit(obs::TraceKind::InstIssue, now, result_ready - now,
                     wf.slot,
-                    (uint64_t(st.pc) << 4) |
-                        uint64_t(traceClassOf(m)));
+                    (uint64_t(st.pc) << 4) | uint64_t(m.instClass));
 
     // --- control-flow resolution ---
     Addr seq_next = st.pc + m.size;
@@ -862,7 +792,7 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
 
     // Tracing: net RS movement of this instruction (push from a
     // diverging branch inside execute, pops from the loop above).
-    if (tracing() && st.rs.size() != rs_before)
+    if (trace && st.rs.size() != rs_before)
         trace->emit(st.rs.size() > rs_before ? obs::TraceKind::RsPush
                                              : obs::TraceKind::RsPop,
                     now, 0, wf.slot, st.rs.size());
@@ -880,7 +810,7 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
         // Discontinuous PC: flush the instruction buffer and redirect
         // fetch (the front-end cost the paper highlights).
         ibFlushes += flushes;
-        if (tracing())
+        if (trace)
             trace->emit(obs::TraceKind::IbFlush, now, 0, wf.slot,
                         flushes);
         wf.ibCount = 0;
@@ -910,7 +840,7 @@ void
 ComputeUnit::finishWavefront(Wavefront &wf)
 {
     WgInstance &wg = *wf.wg;
-    if (tracing())
+    if (trace)
         trace->emit(obs::TraceKind::WfEnd, eq.now(), 0, wf.slot,
                     wf.st.wgId);
     ageListUnlink(wf);

@@ -29,6 +29,8 @@
 #ifndef LAST_CU_COMPUTE_UNIT_HH
 #define LAST_CU_COMPUTE_UNIT_HH
 
+#include <algorithm>
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -94,10 +96,11 @@ class ComputeUnit : public stats::Group
 
     /**
      * Account for k skipped cycles starting at now during which this
-     * CU provably made no progress: replays exactly the busy-cycle and
-     * per-wavefront stall accounting the per-cycle loop would have
-     * performed, so fast-forwarded runs are statistic-identical to
-     * fully ticked ones.
+     * CU provably made no progress: charges the busy cycles, and each
+     * wavefront's wait through the one wait rule the per-cycle loop
+     * applies (chargeWait), so fast-forwarded runs are
+     * statistic-identical to fully ticked ones and trace the same
+     * DepStall spans.
      */
     void chargeSkippedCycles(Cycle now, Cycle k);
 
@@ -117,16 +120,10 @@ class ComputeUnit : public stats::Group
      *  Gpu wires this when GpuConfig::trace is set; see obs/trace.hh. */
     void setTraceStream(obs::TraceStream *s) { trace = s; }
 
-    /** @{ Dynamic instruction counters (Figure 5 classification). */
+    /** @{ Dynamic instruction counters: all, then one per Figure 5
+     *  class, indexed by arch::InstClass (valuInsts ... miscInsts). */
     stats::Scalar dynInsts;
-    stats::Scalar valuInsts;
-    stats::Scalar saluInsts;
-    stats::Scalar vmemInsts;
-    stats::Scalar smemInsts;
-    stats::Scalar ldsInsts;
-    stats::Scalar branchInsts;
-    stats::Scalar waitcntInsts;
-    stats::Scalar miscInsts;
+    stats::Scalar classInsts[arch::NumInstClasses];
     /** @} */
 
     stats::Scalar busyCycles;
@@ -178,19 +175,41 @@ class ComputeUnit : public stats::Group
      *  @return true iff a fetch was started (ends the fetch scan). */
     bool tryFetch(Wavefront *wf, Cycle now);
     void issueStage(Cycle now);
+    /**
+     * The one wait rule, which issue (one cycle at a time) and
+     * fast-forward (a skipped window at once) share. Charges each
+     * cycle of [lo, end) in which the runnable `wf` waits, in order:
+     *  - before blockedUntil (s_nop wait states): uncounted;
+     *  - an empty IB: ibEmptyStalls;
+     *  - a busy functional unit (fuFreeAt): fuConflictStalls;
+     *  - unready operands (operandsReadyAt): waitcntStalls at an
+     *    s_waitcnt, else scoreboardStalls; the DepStall trace span
+     *    opens at the first such cycle.
+     * In a skipped window nothing issues and no event fires, so the
+     * IB, the units and the ready times are frozen, and the skip
+     * target never passes a cycle at which `wf` could issue: the
+     * closed form equals a per-cycle walk.
+     * @return true iff `wf` can issue at `lo` (the issue stage's
+     *         one-cycle window; never in a skipped one).
+     */
+    bool chargeWait(Wavefront &wf, Cycle lo, Cycle end);
+    /** The first cycle the unit `m` issues to is free for `wf` (0 for
+     *  the sequencer's Special instructions, which take no unit). */
+    Cycle
+    fuFreeAt(const Wavefront &wf, const arch::ExecMeta &m) const
+    {
+        if (m.fu == arch::FuType::Special)
+            return 0;
+        unsigned fu = fuIndex(wf, m);
+        return std::max(fuBusyUntil[fu], fuTakenUntil[fu]);
+    }
     /** The first cycle `m`'s operands let `wf` issue it, under the
      *  dependence policy predecode resolved (ExecMeta::interlocked):
      *  the latest ready time of an interlocked instruction's
      *  registers, InvalidCycle for an s_waitcnt whose counts are not
-     *  yet met, else 0. Issue and fast-forward both ask here. */
+     *  yet met, else 0. */
     Cycle operandsReadyAt(const Wavefront &wf,
                           const arch::ExecMeta &m) const;
-    /** The counter a dependency stall at `m` is charged to. */
-    stats::Scalar &
-    depStalls(const arch::ExecMeta &m)
-    {
-        return m.is(arch::IsWaitcnt) ? waitcntStalls : scoreboardStalls;
-    }
     void issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now);
     void probeVectorOperands(Wavefront &wf, const arch::ExecMeta &m,
                              bool defs);
@@ -202,11 +221,6 @@ class ComputeUnit : public stats::Group
     void ageListLink(Wavefront &wf);
     void ageListUnlink(Wavefront &wf);
     /** @} */
-
-    /** True iff trace points are compiled in AND a stream is attached;
-     *  constant-folds to `false` under -DLAST_OBS_TRACE=0 so every
-     *  tracing block becomes dead code. */
-    bool tracing() const { return obs::tracePointsCompiled() && trace; }
 
     GpuConfig cfg;
     EventQueue &eq;
@@ -231,7 +245,8 @@ class ComputeUnit : public stats::Group
     /** Bit per slot holding a live wavefront (maintained alongside the
      *  age list): the fetch stage's round-robin scan walks set bits
      *  via count-trailing-zeros instead of testing all 40 slots every
-     *  cycle. Only used when the CU has <= 64 slots. */
+     *  cycle. One word covers every slot: the Gpu rejects a
+     *  wfSlotsPerCu outside [1, 64]. */
     uint64_t liveSlotMask = 0;
 
     /** Reused issue-order scratch: the runnable snapshot the issue
@@ -259,6 +274,10 @@ class ComputeUnit : public stats::Group
     static constexpr unsigned FuVMem = 6;
     static constexpr unsigned FuLds = 7;
     static constexpr unsigned NumFu = 8;
+
+    /** Per-FU cycle after the unit's latest issue: a unit takes one
+     *  issue per cycle, whatever occupancy fuBusyUntil records. */
+    std::array<Cycle, NumFu> fuTakenUntil{};
 
     unsigned fuIndex(const Wavefront &wf, const arch::ExecMeta &m) const;
 

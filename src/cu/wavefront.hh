@@ -85,9 +85,10 @@ class Wavefront
     Cycle blockedUntil = 0;
 
     /** Tracing only (obs/trace.hh): first cycle of the current
-     *  dependency stall, so the whole stall is emitted as one span
-     *  when the WF finally issues. InvalidCycle = not stalled. Never
-     *  read by timing or statistics. */
+     *  dependency stall, ticked or fast-forwarded, so the whole stall
+     *  is emitted as one span when the WF finally issues.
+     *  InvalidCycle = not stalled. Never read by timing or
+     *  statistics. */
     Cycle stallSince = InvalidCycle;
     /** Tracing only: stall flavour (0 scoreboard, 1 waitcnt). */
     uint8_t stallKind = 0;
@@ -95,7 +96,8 @@ class Wavefront
     /** Per-register ready cycle: an interlocked instruction (HSAIL,
      *  PTXL) does not issue until its operands are ready; GCN3 only
      *  *checks* (hazard probe) — hardware relies on the finalizer's
-     *  waitcnt/nops. */
+     *  waitcnt/nops. sregReady covers every scalar index up to
+     *  RegExecHi, past which predecode admits no operand. */
     std::vector<Cycle> vregReady;
     std::vector<Cycle> sregReady;
 
@@ -139,7 +141,7 @@ class Wavefront
         metas = code->execMetas().data();
         st.vregs.assign(nvregs, arch::LaneVec{});
         vregReady.assign(nvregs, 0);
-        sregReady.assign(128, 0);
+        sregReady.assign(arch::RegExecHi + 1, 0);
         vregProbe.assign(nvregs, VregProbe{});
         dynInstCount = 0;
         pcIdx = 0;

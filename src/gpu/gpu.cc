@@ -15,6 +15,10 @@ Gpu::Gpu(const GpuConfig &cfg, mem::FunctionalMemory &memory,
       kernelLaunches(this, "kernelLaunches", "kernels dispatched"),
       cfg(cfg), memory(memory)
 {
+    // A CU's live-slot mask is one 64-bit word.
+    fatal_if(cfg.wfSlotsPerCu == 0 || cfg.wfSlotsPerCu > 64,
+             "wfSlotsPerCu = %u: a CU holds 1 to 64 wavefront slots",
+             cfg.wfSlotsPerCu);
     dram = std::make_unique<mem::Dram>("dram", cfg, this);
 
     unsigned clusters =
@@ -45,7 +49,7 @@ Gpu::Gpu(const GpuConfig &cfg, mem::FunctionalMemory &memory,
 void
 Gpu::wireTraceStreams()
 {
-    if (!obs::tracePointsCompiled() || !cfg.trace)
+    if (!cfg.trace)
         return;
     obs::TraceSink &sink = *cfg.trace;
     gpuTrace = sink.makeStream("gpu", obs::TidGpu);
@@ -215,7 +219,7 @@ Gpu::throwDeadlock(const std::string &reason, Cycle lastProgress)
     info.reason = reason;
     for (unsigned i = 0; i < cus.size(); ++i)
         cus[i]->dumpWavefronts(i, info.wavefronts);
-    if (obs::tracePointsCompiled() && gpuTrace)
+    if (gpuTrace)
         gpuTrace->emit(obs::TraceKind::Watchdog, eq.now(), 0,
                        gpuTrace->intern(reason));
     throw DeadlockError(std::move(info));
@@ -282,8 +286,9 @@ Gpu::runToCompletion()
                 totalCycles += double(skipped);
                 for (auto &c : cus)
                     c->chargeSkippedCycles(now, skipped);
-                LAST_TRACE(gpuTrace, obs::TraceKind::IdleSkip, now,
-                           skipped, skipped);
+                if (gpuTrace)
+                    gpuTrace->emit(obs::TraceKind::IdleSkip, now, skipped,
+                                   skipped);
             }
         }
     }

@@ -186,8 +186,9 @@ Cache::access(Addr addr, bool is_write, Cycle now)
                 next->access(addr, true, now);
         }
         done = fill;
-        LAST_TRACE(trace, obs::TraceKind::CacheMiss, now, fill - now,
-                   addr, is_write);
+        if (trace)
+            trace->emit(obs::TraceKind::CacheMiss, now, fill - now, addr,
+                        is_write);
     }
 
     if (faultArmed && now >= faultFrom) {

@@ -2,26 +2,11 @@
 
 #include <array>
 
+#include "arch/instruction.hh"
 #include "obs/json.hh"
 
 namespace last::obs
 {
-
-const char *
-instClassName(InstClass c)
-{
-    switch (c) {
-      case InstClass::VAlu: return "valu";
-      case InstClass::SAlu: return "salu";
-      case InstClass::VMem: return "vmem";
-      case InstClass::SMem: return "smem";
-      case InstClass::Lds: return "lds";
-      case InstClass::Branch: return "branch";
-      case InstClass::Waitcnt: return "waitcnt";
-      case InstClass::Misc: return "misc";
-    }
-    return "misc";
-}
 
 uint64_t
 TraceStream::intern(const std::string &s)
@@ -128,7 +113,7 @@ writeEvent(std::ostream &os, const TraceStream &s, const TraceEvent &e,
     std::string args;
     switch (e.kind) {
       case TraceKind::InstIssue:
-        name = instClassName(InstClass(e.arg1 & 0xf));
+        name = arch::instClassName(arch::InstClass(e.arg1 & 0xf));
         args = "\"slot\":" + jsonNumber(double(e.arg0)) +
                ",\"pc\":" + jsonNumber(double(e.arg1 >> 4));
         break;

@@ -2,10 +2,10 @@
  * @file
  * Structured execute-path tracing.
  *
- * The simulator's hot loops carry compile-out-able trace points
- * (instruction issue/retire, IB flushes, reconvergence-stack pushes
- * and pops, dependency stalls, cache misses and fills, kernel
- * dispatches, idle-cycle skips, watchdog trips). Events are buffered
+ * The simulator's hot loops carry trace points (instruction
+ * issue/retire, IB flushes, reconvergence-stack pushes and pops,
+ * dependency stalls, cache misses and fills, kernel dispatches,
+ * idle-cycle skips, watchdog trips). Events are buffered
  * per component in `TraceStream`s owned by one `TraceSink` and are
  * emitted as Chrome `trace_event` JSON, so a capture opens directly in
  * chrome://tracing or https://ui.perfetto.dev. One simulated GPU cycle
@@ -13,10 +13,8 @@
  *
  * Cost model (the execute path is perf-gated by hostbench, see
  * BENCHMARK.json and CI's perf-smoke job):
- *  - compiled out (`-DLAST_OBS_TRACE_POINTS=OFF`, which defines
- *    `LAST_OBS_TRACE=0`): trace points vanish entirely;
- *  - compiled in, disabled (default — `GpuConfig::trace == nullptr`):
- *    one pointer null-check per trace point;
+ *  - disabled (default — `GpuConfig::trace == nullptr`): every trace
+ *    point is `if (stream)`, one pointer null-check;
  *  - enabled: one bounds check + a POD append into a pre-reserved
  *    per-component buffer; no strings, no locks, no I/O on the hot
  *    path. Streams are capped (events past the cap are counted as
@@ -34,8 +32,8 @@
  * run.
  */
 
-#ifndef LAST_OBS_TRACE_HH
-#define LAST_OBS_TRACE_HH
+#ifndef LAST_OBS_TRACING_HH
+#define LAST_OBS_TRACING_HH
 
 #include <cstdint>
 #include <deque>
@@ -46,42 +44,15 @@
 
 #include "common/types.hh"
 
-/** Compile-time master switch for the trace points (see the CMake
- *  option LAST_OBS_TRACE_POINTS). Runtime enablement is a non-null
- *  GpuConfig::trace on top of this. */
-#ifndef LAST_OBS_TRACE
-#define LAST_OBS_TRACE 1
-#endif
-
-#if LAST_OBS_TRACE
-/** Record a trace event iff `stream` (a TraceStream*) is non-null.
- *  Arguments after the stream are forwarded to TraceStream::emit. */
-#define LAST_TRACE(stream, ...)                                              \
-    do {                                                                     \
-        if (stream)                                                          \
-            (stream)->emit(__VA_ARGS__);                                     \
-    } while (0)
-#else
-#define LAST_TRACE(stream, ...)                                              \
-    do {                                                                     \
-    } while (0)
-#endif
-
 namespace last::obs
 {
-
-/** True when the trace points are compiled into this build. */
-constexpr bool
-tracePointsCompiled()
-{
-    return LAST_OBS_TRACE != 0;
-}
 
 /** What happened. The kind fixes the Chrome event name and phase and
  *  the meaning of arg0/arg1 (schema in DESIGN.md §5). */
 enum class TraceKind : uint8_t
 {
-    InstIssue,      ///< span issue->result-ready; arg0=slot, arg1=(pc<<4)|class
+    InstIssue,      ///< span issue->result-ready; arg0=slot,
+                    ///< arg1=(pc<<4)|arch::InstClass
     IbFlush,        ///< instant; arg0=slot, arg1=flush count
     RsPush,         ///< instant; arg0=slot, arg1=new RS depth
     RsPop,          ///< instant; arg0=slot, arg1=new RS depth
@@ -94,14 +65,6 @@ enum class TraceKind : uint8_t
     IdleSkip,       ///< span; arg0=cycles skipped by the fast-forward
     Watchdog,       ///< instant; arg0=reason string id
 };
-
-/** Issue-class index carried in InstIssue's arg1 low nibble. */
-enum class InstClass : uint8_t
-{
-    VAlu, SAlu, VMem, SMem, Lds, Branch, Waitcnt, Misc,
-};
-
-const char *instClassName(InstClass c);
 
 /** One buffered event. POD on purpose: appending must be an O(1)
  *  store, and the buffer must stay cache-dense. */
@@ -211,4 +174,4 @@ class TraceSink
 
 } // namespace last::obs
 
-#endif // LAST_OBS_TRACE_HH
+#endif // LAST_OBS_TRACING_HH

@@ -17,7 +17,7 @@ Runtime::Runtime(const GpuConfig &cfg_)
 {
     gpuModel = std::make_unique<gpu::Gpu>(cfg, memory, this);
     dynInstsStatIdx = gpuModel->cuStatIndex("dynInsts");
-    if (obs::tracePointsCompiled() && cfg.trace)
+    if (cfg.trace)
         trace = cfg.trace->makeStream("runtime", obs::TidRuntime);
 }
 
@@ -137,7 +137,7 @@ Runtime::dispatch(const arch::KernelCode &code, unsigned grid_size,
     uint64_t insts_after =
         uint64_t(gpuModel->sumCuStat(dynInstsStatIdx));
 
-    if (obs::tracePointsCompiled() && trace)
+    if (trace)
         trace->emit(obs::TraceKind::KernelDispatch, launched, cycles,
                     trace->intern(code.name()));
 
@@ -167,7 +167,7 @@ Runtime::sync()
     // per-kernel sequence stays deterministic and cross-ISA
     // comparable; spans come from the launch's own start/end cycles.
     for (const auto &l : inFlight) {
-        if (obs::tracePointsCompiled() && trace)
+        if (trace)
             trace->emit(obs::TraceKind::KernelDispatch, l->startCycle,
                         l->endCycle - l->startCycle,
                         trace->intern(l->code->name()));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "cu/wavefront.hh"
 #include "finalizer/finalizer.hh"
 #include "finalizer/regalloc.hh"
@@ -251,4 +252,26 @@ TEST(CuTiming, OldestFirstTieBreakIsExplicit)
     EXPECT_TRUE(cu::Wavefront::olderThan(slot2, slot5));
     EXPECT_FALSE(cu::Wavefront::olderThan(slot5, slot2));
     EXPECT_FALSE(cu::Wavefront::olderThan(slot2, slot2));
+}
+
+TEST(CuTiming, WfSlotsOutsideOneMaskWordAreRejected)
+{
+    // The fetch stage scans a one-word live-slot mask: a GPU with no
+    // slots (which could only deadlock) or more than 64 is refused with
+    // a ConfigError naming the field.
+    for (unsigned slots : {0u, 65u}) {
+        GpuConfig cfg;
+        cfg.wfSlotsPerCu = slots;
+        try {
+            runtime::Runtime rt(cfg);
+            ADD_FAILURE() << slots << " slots accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("wfSlotsPerCu"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    GpuConfig full;
+    full.wfSlotsPerCu = 64;
+    EXPECT_NO_THROW(runtime::Runtime rt(full));
 }

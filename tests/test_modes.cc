@@ -115,8 +115,6 @@ TEST(ModeMatrix, EveryModeMatchesBaseline)
                       Mode::ArtifactCacheOff, Mode::ReferenceEngine,
                       Mode::Jobs1}) {
         SCOPED_TRACE(modeName(mode));
-        if (mode == Mode::Tracing && !obs::tracePointsCompiled())
-            continue; // trace points compiled out
         const MatrixRun run = runMatrix(mode);
         ASSERT_EQ(run.results.size(), base.results.size());
         for (size_t i = 0; i < run.results.size(); ++i) {

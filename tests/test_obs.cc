@@ -8,6 +8,7 @@
  * — tracing on/off produces bit-identical AppResults.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/instruction.hh"
 #include "common/error.hh"
 #include "helpers.hh"
 #include "obs/divergence.hh"
@@ -255,7 +257,7 @@ TEST(ObsTrace, ChromeJsonIsWellFormed)
     // One event of every kind, including the string-carrying ones and
     // a name that needs escaping.
     cu->emit(obs::TraceKind::InstIssue, 100, 4, 3,
-             (0x40u << 4) | uint64_t(obs::InstClass::VAlu));
+             (0x40u << 4) | uint64_t(arch::InstClass::VAlu));
     cu->emit(obs::TraceKind::IbFlush, 101, 0, 3, 2);
     cu->emit(obs::TraceKind::RsPush, 102, 0, 3, 1);
     cu->emit(obs::TraceKind::RsPop, 103, 0, 3, 0);
@@ -289,8 +291,6 @@ TEST(ObsTrace, ChromeJsonIsWellFormed)
 
 TEST(ObsTrace, TracedRunProducesEventsAndValidJson)
 {
-    if (!obs::tracePointsCompiled())
-        GTEST_SKIP() << "trace points compiled out";
     obs::TraceSink sink;
     GpuConfig cfg;
     cfg.trace = &sink;
@@ -324,8 +324,6 @@ TEST(ObsTrace, TracedRunProducesEventsAndValidJson)
 
 TEST(ObsTrace, TracingOnOffIsStatisticIdentical)
 {
-    if (!obs::tracePointsCompiled())
-        GTEST_SKIP() << "trace points compiled out";
     for (IsaKind isa : {IsaKind::HSAIL, IsaKind::GCN3}) {
         sim::AppResult plain =
             sim::runApp("VecAdd", isa, GpuConfig{}, {TestScale});
@@ -336,6 +334,58 @@ TEST(ObsTrace, TracingOnOffIsStatisticIdentical)
             sim::runApp("VecAdd", isa, cfg, {TestScale});
         EXPECT_GT(sink.totalEvents(), 0u);
         test::expectSameResult(plain, traced);
+    }
+}
+
+TEST(ObsTrace, FastForwardKeepsEveryEvent)
+{
+    // Fast-forward charges a skipped window through the wait rule a
+    // ticked cycle takes, so its trace is the fully ticked one plus
+    // IdleSkip spans. In these three specs dependency stalls begin
+    // inside skipped windows: an s_nop wait ends, or a unit frees.
+    const std::pair<const char *, IsaKind> specs[] = {
+        {"LULESH", IsaKind::HSAIL},
+        {"MD", IsaKind::PTXL},
+        {"HPGMG", IsaKind::GCN3},
+    };
+    auto kept = [](const obs::TraceStream &s) {
+        std::vector<obs::TraceEvent> ev;
+        for (const obs::TraceEvent &e : s.events())
+            if (e.kind != obs::TraceKind::IdleSkip)
+                ev.push_back(e);
+        return ev;
+    };
+    for (const auto &[workload, isa] : specs) {
+        SCOPED_TRACE(std::string(workload) + "/" + isaName(isa));
+        obs::TraceSink ticked, skipped;
+        for (obs::TraceSink *sink : {&ticked, &skipped}) {
+            GpuConfig cfg;
+            cfg.trace = sink;
+            cfg.fastForwardIdle = sink == &skipped;
+            ASSERT_TRUE(
+                sim::runApp(workload, isa, cfg, {TestScale}).verified);
+            EXPECT_EQ(sink->totalDropped(), 0u);
+        }
+        ASSERT_EQ(ticked.numStreams(), skipped.numStreams());
+        for (size_t i = 0; i < ticked.numStreams(); ++i) {
+            const std::vector<obs::TraceEvent> a = kept(ticked.stream(i));
+            const std::vector<obs::TraceEvent> b = kept(skipped.stream(i));
+            const std::string &track = ticked.stream(i).threadName();
+            EXPECT_EQ(a.size(), b.size()) << track;
+            for (size_t k = 0; k < std::min(a.size(), b.size()); ++k) {
+                if (a[k].kind != b[k].kind || a[k].ts != b[k].ts ||
+                    a[k].dur != b[k].dur || a[k].arg0 != b[k].arg0 ||
+                    a[k].arg1 != b[k].arg1) {
+                    ADD_FAILURE()
+                        << track << " event " << k << ": ticked kind "
+                        << int(a[k].kind) << " [" << a[k].ts << ", +"
+                        << a[k].dur << "), fast-forwarded kind "
+                        << int(b[k].kind) << " [" << b[k].ts << ", +"
+                        << b[k].dur << ")";
+                    break;
+                }
+            }
+        }
     }
 }
 

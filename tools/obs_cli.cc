@@ -80,13 +80,6 @@ cmdTrace(std::vector<std::string> args)
         usage();
     IsaKind isa = parseIsa(args[1]);
 
-    if (!obs::tracePointsCompiled()) {
-        std::fprintf(stderr,
-                     "last_obs: this build has trace points compiled "
-                     "out (LAST_OBS_TRACE_POINTS=OFF)\n");
-        return 1;
-    }
-
     obs::TraceSink sink;
     GpuConfig cfg;
     cfg.trace = &sink;
