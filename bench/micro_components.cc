@@ -175,7 +175,7 @@ BM_SimulateKernel(benchmark::State &state)
         std::unique_ptr<arch::KernelCode> gcn;
         arch::KernelCode *code = il.code.get();
         if (isa == IsaKind::GCN3) {
-            gcn = finalizer::finalize(il, rt.config());
+            gcn = finalizer::finalize(il, IsaKind::GCN3, rt.config());
             code = gcn.get();
         }
         Addr in = rt.allocGlobal(4096 * 4);
@@ -199,7 +199,7 @@ BM_Finalize(benchmark::State &state)
     for (auto _ : state) {
         auto il = computeKernel();
         finalizer::compactIlRegisters(il);
-        auto gcn = finalizer::finalize(il, GpuConfig{});
+        auto gcn = finalizer::finalize(il, IsaKind::GCN3, GpuConfig{});
         benchmark::DoNotOptimize(gcn->codeBytes());
     }
 }

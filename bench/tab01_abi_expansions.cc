@@ -58,7 +58,7 @@ showExpansion(const char *title, IlKernel (*make)())
     IlKernel il = make();
     finalizer::compactIlRegisters(il);
     finalizer::FinalizeStats st;
-    auto gcn = finalizer::finalize(il, GpuConfig{}, &st);
+    auto gcn = finalizer::finalize(il, IsaKind::GCN3, GpuConfig{}, &st);
     std::printf("\n---- %s ----\n", title);
     std::printf("HSAIL (%zu instructions):\n%s", il.code->numInsts(),
                 il.code->disassemble().c_str());
@@ -77,7 +77,7 @@ BM_FinalizeSmallKernel(benchmark::State &state)
     for (auto _ : state) {
         IlKernel il = table3Kernel();
         finalizer::compactIlRegisters(il);
-        auto gcn = finalizer::finalize(il, GpuConfig{});
+        auto gcn = finalizer::finalize(il, IsaKind::GCN3, GpuConfig{});
         benchmark::DoNotOptimize(gcn->numInsts());
     }
 }

@@ -23,7 +23,7 @@ show(const char *title, IlKernel il)
 {
     finalizer::compactIlRegisters(il);
     finalizer::FinalizeStats st;
-    auto gcn = finalizer::finalize(il, GpuConfig{}, &st);
+    auto gcn = finalizer::finalize(il, IsaKind::GCN3, GpuConfig{}, &st);
     std::printf("==================================================\n");
     std::printf("%s\n", title);
     std::printf("==================================================\n");

@@ -57,7 +57,7 @@ main()
         std::unique_ptr<arch::KernelCode> gcn;
         arch::KernelCode *code = il.code.get();
         if (isa == IsaKind::GCN3) {
-            gcn = finalizer::finalize(il, rt.config());
+            gcn = finalizer::finalize(il, IsaKind::GCN3, rt.config());
             code = gcn.get();
         }
 

@@ -23,7 +23,7 @@ fail() {
 # meaningless, so only configuration/build errors abort early.
 cmake -B build -S . || exit 1
 cmake --build build -j "$(nproc)" || exit 1
-(cd build && ctest --output-on-failure -j) || fail "full suite"
+(cd build && ctest --output-on-failure -j "$(nproc)") || fail "full suite"
 
 # TSan pass: build only the test binary and run the parallel-driver,
 # sweep-quarantine, and differential suites with 4 workers forced via

@@ -18,8 +18,9 @@
  *    at either width, run active-lane handlers that instantiate the
  *    one implementation of the IL arithmetic (laneValue() in
  *    hsail/lane_ops.hh) at their (opcode, type), ctz-style over the
- *    active lanes and autovectorizable over a full mask. Besides a few
- *    trivial control handlers, every other class runs refH (below),
+ *    active lanes and autovectorizable over a full mask. Besides the
+ *    trivial control handlers HSAIL and PTXL share (nopH, endH and
+ *    barrierH), every other class runs refH (below),
  *    which calls the one implementation the reference execute() also
  *    runs (memory through arch/lane_mem.hh, branches, scalar ops,
  *    GCN3's own VALU ops, the IL dispatch intrinsics, PTXL's ISETP,
@@ -159,6 +160,30 @@ refH(const ExecMeta &m, WfState &wf)
     wf.nextPc = wf.pc + m.size;
     (static_cast<const Inst &>(*m.inst).*Exec)(wf);
 }
+
+/** @{ The trivial control handlers HSAIL and PTXL share: nop, the end
+ *  of the program (ret, EXIT) and the workgroup barrier. Each advances
+ *  the PC by the encoded size, as refH does. */
+inline void
+nopH(const ExecMeta &m, WfState &wf)
+{
+    wf.nextPc = wf.pc + m.size;
+}
+
+inline void
+endH(const ExecMeta &m, WfState &wf)
+{
+    wf.nextPc = wf.pc + m.size;
+    wf.done = true;
+}
+
+inline void
+barrierH(const ExecMeta &m, WfState &wf)
+{
+    wf.nextPc = wf.pc + m.size;
+    wf.atBarrier = true;
+}
+/** @} */
 
 } // namespace last::arch
 

@@ -1,16 +1,18 @@
-#include "finalizer/finalizer.hh"
+/**
+ * @file
+ * The GCN3 emitter: exec-mask predication at region boundaries,
+ * scalarization, register allocation, ABI expansion and software
+ * dependence management (see finalizer.hh), driven by the shared
+ * RegionWalk (lowering.hh).
+ */
 
 #include <bit>
 #include <bitset>
-#include <map>
 
-#include "common/logging.hh"
 #include "finalizer/abi.hh"
-#include "finalizer/backend.hh"
+#include "finalizer/lowering.hh"
 #include "finalizer/regalloc.hh"
-#include "finalizer/uniformity.hh"
 #include "gcn3/inst.hh"
-#include "hsail/inst.hh"
 
 namespace last::finalizer
 {
@@ -28,8 +30,6 @@ using hsail::Segment;
 
 namespace
 {
-
-constexpr uint16_t NoIlReg = 0xffff;
 
 /** Number of reserved VGPR temporaries (addresses, data movs, divide
  *  expansion scratch). */
@@ -86,42 +86,28 @@ scmpOp(CmpOp c, DataType t)
 }
 
 /**
- * Emission back end: owns label fixups and the software dependency
- * management the GCN3 contract requires — s_waitcnt insertion before
- * the first use of in-flight memory results and s_nop insertion for
+ * The shared label assembler plus the software dependency management
+ * the GCN3 contract requires: s_waitcnt insertion before the first use
+ * of in-flight memory results and s_nop insertion for
  * deterministic-latency VALU hazards.
  */
-class Assembler
+class Assembler : public LabelAssembler<Gcn3Inst>
 {
   public:
-    Assembler(arch::KernelCode *code, FinalizeStats *stats)
-        : code(code), stats(stats)
+    Assembler(arch::KernelCode &code, FinalizeStats &stats)
+        : LabelAssembler(code, stats)
     {
-    }
-
-    unsigned
-    newLabel()
-    {
-        labelTargets.push_back(SIZE_MAX);
-        return unsigned(labelTargets.size() - 1);
     }
 
     void
-    bind(unsigned label)
-    {
-        labelTargets[label] = count;
-    }
-
-    size_t
     emit(Gcn3Inst *inst)
     {
         maybeWait(*inst);
         maybeNop(*inst);
         if (inst->is(arch::IsBarrier) || inst->is(arch::IsEndPgm))
             waitAll();
-        size_t idx = raw(inst);
+        append(inst);
         trackPending(*inst);
-        return idx;
     }
 
     void
@@ -130,9 +116,7 @@ class Assembler
         // Loads must not be in flight across a control transfer: the
         // consumer may sit on either path.
         waitPendingLoads();
-        auto *b = Gcn3Inst::branch(op, 0);
-        fixups.push_back({count, label});
-        raw(b);
+        appendBranch(Gcn3Inst::branch(op, 0), label);
         clearHazard();
     }
 
@@ -146,50 +130,12 @@ class Assembler
             insertWaitcnt(vm, lgkm);
     }
 
-    void
-    finalizeLabels()
-    {
-        for (const auto &f : fixups) {
-            size_t target = labelTargets[f.label];
-            panic_if(target == SIZE_MAX, "unbound label %u", f.label);
-            panic_if(target >= count, "label %u points past the end",
-                     f.label);
-            auto &inst = const_cast<Gcn3Inst &>(
-                static_cast<const Gcn3Inst &>(code->inst(f.instIdx)));
-            inst.setTargetIndex(target);
-        }
-    }
-
-    size_t numInsts() const { return count; }
-
   private:
-    struct Fixup
-    {
-        size_t instIdx;
-        unsigned label;
-    };
-
-    size_t
-    raw(Gcn3Inst *inst)
-    {
-        if (stats) {
-            auto fu = inst->fuType();
-            if (fu == arch::FuType::SAlu || fu == arch::FuType::SMem)
-                ++stats->scalarInsts;
-            else if (fu == arch::FuType::VAlu ||
-                     fu == arch::FuType::VMem || fu == arch::FuType::Lds)
-                ++stats->vectorInsts;
-        }
-        code->append(std::unique_ptr<arch::Instruction>(inst));
-        return count++;
-    }
-
     void
     insertWaitcnt(bool vm, bool lgkm)
     {
-        raw(Gcn3Inst::waitcnt(vm ? 0 : -1, lgkm ? 0 : -1));
-        if (stats)
-            ++stats->waitcntInserted;
+        append(Gcn3Inst::waitcnt(vm ? 0 : -1, lgkm ? 0 : -1));
+        ++stats.waitcntInserted;
         if (vm) {
             vmLoadRegsV.reset();
             vmStores = 0;
@@ -287,9 +233,8 @@ class Assembler
         // need a pipeline bubble the next cycle.
         bool scalar_consumer = inst.is(arch::IsScalarOp);
         if (hit && (scalar_consumer || hazardTrans)) {
-            raw(Gcn3Inst::sopp(Gcn3Op::S_NOP, 0));
-            if (stats)
-                ++stats->nopsInserted;
+            append(Gcn3Inst::sopp(Gcn3Op::S_NOP, 0));
+            ++stats.nopsInserted;
         }
         clearHazard();
         updateHazard(inst);
@@ -334,12 +279,6 @@ class Assembler
         }
     }
 
-    arch::KernelCode *code;
-    FinalizeStats *stats;
-    size_t count = 0;
-    std::vector<size_t> labelTargets;
-    std::vector<Fixup> fixups;
-
     std::bitset<256> vmLoadRegsV;
     std::bitset<128> lgkmRegsS;
     std::bitset<256> lgkmRegsV;
@@ -352,17 +291,17 @@ class Assembler
     std::bitset<128> hazardS;
 };
 
-/** The instruction-selection walk. */
+/** GCN3 instruction selection, with exec-mask predication at the
+ *  region boundaries the RegionWalk reports. */
 class Translator
 {
   public:
     Translator(const hsail::IlKernel &il, const GpuConfig &cfg,
-               FinalizeStats *stats)
-        : il(il), ilc(*il.code), cfg(cfg), stats(stats),
-          uni(analyzeUniformity(il)),
+               FinalizeStats &stats)
+        : ilc(*il.code), stats(stats), walk(il),
           out(std::make_unique<arch::KernelCode>(IsaKind::GCN3,
                                                  ilc.name())),
-          a(out.get(), stats)
+          a(*out, stats)
     {
         usesScratch =
             ilc.privateBytesPerWi > 0 || ilc.spillBytesPerWi > 0;
@@ -385,26 +324,7 @@ class Translator
         budget.vgprLast = cfg.maxVgprsPerWfGcn3 - 1;
         budget.sgprFirst = saveStackBase + 2 * maxDepth;
         budget.sgprLast = cfg.maxSgprsPerWfGcn3 - 1;
-        alloc = allocateRegisters(il, uni, budget);
-
-        useCount.assign(ilc.vregsUsed, 0);
-        for (size_t i = 0; i < ilc.numInsts(); ++i)
-            for (const auto &op : ilc.inst(i).regOps())
-                if (!op.isDef)
-                    ++useCount[op.idx];
-
-        for (size_t r = 0; r < il.regions.size(); ++r) {
-            const CfRegion &reg = il.regions[r];
-            if (reg.kind == CfRegion::Kind::Loop) {
-                loopHeadAt[reg.bodyFirst].push_back(r);
-                loopTailAt[reg.branchIdx] = r;
-            } else {
-                ifHeadAt[reg.branchIdx] = r;
-                ifEndAt[reg.endIdx].push_back(r);
-                if (reg.kind == CfRegion::Kind::IfElse)
-                    elseAt[reg.elseJumpIdx] = r;
-            }
-        }
+        alloc = allocateRegisters(il, walk.uniformity(), budget);
     }
 
     std::unique_ptr<arch::KernelCode>
@@ -412,42 +332,9 @@ class Translator
     {
         if (usesScratch)
             emitScratchPrologue();
+        walk.run(*this);
 
-        for (size_t i = 0; i < ilc.numInsts(); ++i) {
-            // Close if-regions ending here (inner regions first: the
-            // regions vector is ordered by close time).
-            auto ends = ifEndAt.find(i);
-            if (ends != ifEndAt.end())
-                for (size_t r : ends->second)
-                    emitIfEnd(il.regions[r]);
-
-            // Open loops whose body starts here (outermost first).
-            auto heads = loopHeadAt.find(i);
-            if (heads != loopHeadAt.end())
-                for (auto it = heads->second.rbegin();
-                     it != heads->second.rend(); ++it)
-                    emitLoopHead(il.regions[*it]);
-
-            auto ih = ifHeadAt.find(i);
-            if (ih != ifHeadAt.end()) {
-                emitIfHead(il.regions[ih->second]);
-                continue;
-            }
-            auto ej = elseAt.find(i);
-            if (ej != elseAt.end()) {
-                emitElse();
-                continue;
-            }
-            auto lt = loopTailAt.find(i);
-            if (lt != loopTailAt.end()) {
-                emitLoopTail(il.regions[lt->second]);
-                continue;
-            }
-
-            translate(i, static_cast<const HsailInst &>(ilc.inst(i)));
-        }
-
-        a.finalizeLabels();
+        a.resolveLabels();
         out->seal();
         gcn3::resolveBranchTargets(*out);
         // Predecode while the kernel is being built: the finalized
@@ -473,14 +360,14 @@ class Translator
         out->spillBytesPerWi = 0;
         out->ldsBytesPerWg = ilc.ldsBytesPerWg;
 
-        if (stats) {
-            stats->vgprsUsed = out->vregsUsed;
-            stats->sgprsUsed = out->sregsUsed;
-        }
+        stats.vgprsUsed = out->vregsUsed;
+        stats.sgprsUsed = out->sregsUsed;
         return std::move(out);
     }
 
   private:
+    friend class finalizer::RegionWalk;
+
     static bool
     contains(const CfRegion &outer, const CfRegion &inner)
     {
@@ -607,11 +494,10 @@ class Translator
                               Src::imm(0)));
     }
 
-    // --- control-flow regions --------------------------------------
+    // --- control-flow regions (the RegionWalk hooks) ----------------
 
     struct Ctx
     {
-        CfRegion::Kind kind;
         bool divergent;
         unsigned savePair = 0;
         unsigned elseLabel = 0;
@@ -620,11 +506,10 @@ class Translator
     };
 
     void
-    emitIfHead(const CfRegion &r)
+    ifHead(const CfRegion &r, bool divergent)
     {
         Ctx c;
-        c.kind = r.kind;
-        c.divergent = regionDivergent(r);
+        c.divergent = divergent;
         c.endLabel = a.newLabel();
         bool has_else = r.kind == CfRegion::Kind::IfElse;
         if (has_else)
@@ -648,7 +533,7 @@ class Translator
     }
 
     void
-    emitElse()
+    elseArm()
     {
         panic_if(ctx.empty(), "else outside a region");
         Ctx &c = ctx.back();
@@ -665,7 +550,7 @@ class Translator
     }
 
     void
-    emitIfEnd(const CfRegion &)
+    ifEnd()
     {
         panic_if(ctx.empty(), "region end without a head");
         Ctx c = ctx.back();
@@ -679,11 +564,10 @@ class Translator
     }
 
     void
-    emitLoopHead(const CfRegion &r)
+    loopHead(bool divergent)
     {
         Ctx c;
-        c.kind = CfRegion::Kind::Loop;
-        c.divergent = regionDivergent(r);
+        c.divergent = divergent;
         c.topLabel = a.newLabel();
         if (c.divergent) {
             c.savePair = saveStackBase + 2 * divDepth;
@@ -698,7 +582,7 @@ class Translator
     }
 
     void
-    emitLoopTail(const CfRegion &r)
+    loopTail(const CfRegion &r)
     {
         panic_if(ctx.empty(), "loop tail without a head");
         Ctx c = ctx.back();
@@ -715,15 +599,6 @@ class Translator
             ensureScc(r.condReg);
             a.emitBranch(Gcn3Op::S_CBRANCH_SCC1, c.topLabel);
         }
-    }
-
-    bool
-    regionDivergent(const CfRegion &r) const
-    {
-        for (size_t i = 0; i < il.regions.size(); ++i)
-            if (&il.regions[i] == &r)
-                return uni.regionDivergent[i];
-        return true;
     }
 
     // --- ABI sequences ----------------------------------------------
@@ -922,32 +797,15 @@ class Translator
         emitValu3(G::V_DIV_FIXUP_F32, d, Src::vgpr(t0), dn, n0);
     }
 
-    /** Does the compare at IL index i, producing bool reg D, feed only
-     *  the region branch immediately following it? */
-    bool
-    feedsBranch(size_t i, uint16_t d) const
-    {
-        if (useCount[d] != 1)
-            return false;
-        auto ih = ifHeadAt.find(i + 1);
-        if (ih != ifHeadAt.end())
-            return il.regions[ih->second].condReg == d;
-        auto lt = loopTailAt.find(i + 1);
-        return lt != loopTailAt.end() &&
-               il.regions[lt->second].condReg == d;
-    }
-
     // --- main translation -------------------------------------------
 
-    void translate(size_t i, const HsailInst &inst);
+    void inst(size_t i, const HsailInst &inst);
     void translateAlu(size_t i, const HsailInst &inst);
     void translateMem(const HsailInst &inst);
 
-    const hsail::IlKernel &il;
     const arch::KernelCode &ilc;
-    GpuConfig cfg;
-    FinalizeStats *stats;
-    UniformityInfo uni;
+    FinalizeStats &stats;
+    RegionWalk walk;
     AllocResult alloc;
     std::unique_ptr<arch::KernelCode> out;
     Assembler a;
@@ -959,13 +817,6 @@ class Translator
     unsigned saveStackBase = 0;
     bool divEverUsed = false;
     unsigned divDepth = 0;
-
-    std::vector<unsigned> useCount;
-    std::map<size_t, size_t> ifHeadAt;
-    std::map<size_t, size_t> elseAt;
-    std::map<size_t, size_t> loopTailAt;
-    std::map<size_t, std::vector<size_t>> ifEndAt;
-    std::map<size_t, std::vector<size_t>> loopHeadAt;
     std::vector<Ctx> ctx;
 
     uint16_t vccFrom = NoIlReg;
@@ -973,13 +824,10 @@ class Translator
 };
 
 void
-Translator::translate(size_t i, const HsailInst &inst)
+Translator::inst(size_t i, const HsailInst &inst)
 {
-    uint16_t prev_vcc = vccFrom, prev_scc = sccFrom;
     vccFrom = NoIlReg;
     sccFrom = NoIlReg;
-    (void)prev_vcc;
-    (void)prev_scc;
 
     switch (inst.op()) {
       case Opcode::Ld:
@@ -1213,7 +1061,7 @@ Translator::translateAlu(size_t i, const HsailInst &inst)
             a.emit(Gcn3Inst::sopc(scmpOp(inst.cmpOp(), t), sA(), sB()));
             // Peephole: a compare feeding only the region branch that
             // immediately follows needs no materialized boolean.
-            if (feedsBranch(i, D)) {
+            if (walk.feedsBranch(i, D)) {
                 sccFrom = D;
                 return;
             }
@@ -1224,7 +1072,7 @@ Translator::translateAlu(size_t i, const HsailInst &inst)
         std::vector<Src> ss{sA(), sB()};
         legalizeValuSrcs(ss, wide);
         a.emit(Gcn3Inst::vcmp(vcmpOp(inst.cmpOp(), t), ss[0], ss[1]));
-        if (feedsBranch(i, D)) {
+        if (walk.feedsBranch(i, D)) {
             vccFrom = D;
             return;
         }
@@ -1460,57 +1308,10 @@ Translator::translateMem(const HsailInst &inst)
 } // namespace
 
 std::unique_ptr<arch::KernelCode>
-finalize(const hsail::IlKernel &il, const GpuConfig &cfg,
-         FinalizeStats *out_stats)
+lowerGcn3(const hsail::IlKernel &il, const GpuConfig &cfg,
+          FinalizeStats &stats)
 {
-    FinalizeStats local;
-    Translator t(il, cfg, out_stats ? out_stats : &local);
-    return t.run();
-}
-
-uint64_t
-finalizeConfigDigest(const GpuConfig &cfg)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (uint64_t v : {uint64_t(cfg.maxVgprsPerWfGcn3),
-                       uint64_t(cfg.maxSgprsPerWfGcn3)}) {
-        for (unsigned i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    }
-    return h;
-}
-
-namespace
-{
-
-class Gcn3Backend final : public Backend
-{
-  public:
-    IsaKind isa() const override { return IsaKind::GCN3; }
-
-    std::unique_ptr<arch::KernelCode>
-    lower(const hsail::IlKernel &il, const GpuConfig &cfg,
-          FinalizeStats *stats) const override
-    {
-        return finalize(il, cfg, stats);
-    }
-
-    uint64_t
-    configDigest(const GpuConfig &cfg) const override
-    {
-        return finalizeConfigDigest(cfg);
-    }
-};
-
-} // namespace
-
-const Backend &
-gcn3Backend()
-{
-    static const Gcn3Backend backend;
-    return backend;
+    return Translator(il, cfg, stats).run();
 }
 
 } // namespace last::finalizer

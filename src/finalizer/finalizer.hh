@@ -1,9 +1,16 @@
 /**
  * @file
- * The finalizer: compiles an IL kernel to GCN3 machine code, playing
- * the role amdhsafin plays in the paper's toolchain.
+ * The finalizer: compiles an IL kernel to machine code, playing the
+ * role amdhsafin plays in the paper's toolchain. It has two targets,
+ * GCN3 and PTXL; HSAIL needs none (the IL executes directly, which is
+ * the point of the study).
  *
- * Responsibilities (each one an abstraction the IL hides):
+ * The analyses (uniformity.cc, regalloc.cc) and the lowering skeleton
+ * (lowering.hh: the region walk and the label assembler) are shared.
+ * What differs per vendor is the emitter: how structured IL control
+ * flow, dependences and the ABI map onto the machine ISA.
+ *
+ * GCN3 (finalizer.cc), where each step is an abstraction the IL hides:
  *  - ABI code generation: prologue computing per-lane scratch
  *    addresses; kernarg accesses through s[6:7]; workitemabsid
  *    expansion through the AQL packet (Tables 1 and 2).
@@ -17,6 +24,10 @@
  *    use of in-flight memory results, s_nop insertion for
  *    deterministic-latency VALU hazards.
  *  - Newton-Raphson expansion of floating-point division (Table 3).
+ *
+ * PTXL (ptxl_lower.cc): explicit convergence barriers (BSSY/BSYNC)
+ * around divergent regions, a hardware scoreboard instead of waits,
+ * no scalar pipeline, and a near 1:1 mapping from the IL.
  */
 
 #ifndef LAST_FINALIZER_FINALIZER_HH
@@ -42,19 +53,21 @@ struct FinalizeStats
     unsigned vectorInsts = 0;
 };
 
-/** Finalize an IL kernel into GCN3 machine code. */
+/** Finalize an IL kernel into `isa`'s machine code. Panics for
+ *  IsaKind::HSAIL, which has no machine backend. */
 std::unique_ptr<arch::KernelCode>
-finalize(const hsail::IlKernel &il, const GpuConfig &cfg,
+finalize(const hsail::IlKernel &il, IsaKind isa, const GpuConfig &cfg,
          FinalizeStats *out_stats = nullptr);
 
 /**
- * Digest of the GpuConfig fields the finalizer's output depends on
- * (the register-file budgets driving allocation and spilling). The
- * artifact cache folds this into its content digest so a GCN3 kernel
- * finalized under one budget can never be served to a run configured
- * with another. Must be kept in sync with what finalize() reads.
+ * Digest of the GpuConfig fields `isa`'s lowering depends on (the
+ * register-file budgets driving allocation, spilling and the PTXL
+ * budget check). The artifact cache folds this into its content
+ * digest so a kernel finalized under one budget can never be served
+ * to a run configured with another. Must be kept in sync with what
+ * finalize() reads. Panics for IsaKind::HSAIL.
  */
-uint64_t finalizeConfigDigest(const GpuConfig &cfg);
+uint64_t finalizeConfigDigest(const GpuConfig &cfg, IsaKind isa);
 
 } // namespace last::finalizer
 

@@ -30,13 +30,7 @@
  * question the divergence matrix answers.
  */
 
-#include <map>
-#include <vector>
-
-#include "common/logging.hh"
-#include "finalizer/backend.hh"
-#include "finalizer/uniformity.hh"
-#include "hsail/inst.hh"
+#include "finalizer/lowering.hh"
 #include "ptxl/inst.hh"
 
 namespace last::finalizer
@@ -53,101 +47,24 @@ using hsail::Opcode;
 using hsail::Reg;
 using ptxl::PtxlInst;
 
-constexpr uint16_t NoIlReg = 0xffff;
-
 /** Predicate conventions: P0 carries branch conditions, P6 is the
  *  SEL scratch predicate. */
 constexpr uint8_t BranchPreg = 0;
 constexpr uint8_t SelPreg = 6;
 
-/**
- * Emission back end for PTXL. Deliberately thin next to the GCN3
- * Assembler: there is no wait tracking and no hazard tracking because
- * the hardware scoreboard owns both. All that remains is label fixup.
- */
-class PtxlAsm
-{
-  public:
-    PtxlAsm(arch::KernelCode *code, FinalizeStats *stats)
-        : code(code), stats(stats)
-    {
-    }
-
-    unsigned
-    newLabel()
-    {
-        labelTargets.push_back(SIZE_MAX);
-        return unsigned(labelTargets.size() - 1);
-    }
-
-    void
-    bind(unsigned label)
-    {
-        labelTargets[label] = count;
-    }
-
-    size_t
-    emit(PtxlInst *inst)
-    {
-        if (stats) {
-            auto fu = inst->fuType();
-            if (fu == arch::FuType::SAlu || fu == arch::FuType::SMem)
-                ++stats->scalarInsts;
-            else if (fu == arch::FuType::VAlu ||
-                     fu == arch::FuType::VMem || fu == arch::FuType::Lds)
-                ++stats->vectorInsts;
-        }
-        code->append(std::unique_ptr<arch::Instruction>(inst));
-        return count++;
-    }
-
-    void
-    emitBranch(PtxlInst *b, unsigned label)
-    {
-        fixups.push_back({count, label});
-        emit(b);
-    }
-
-    void
-    finalizeLabels()
-    {
-        for (const auto &f : fixups) {
-            size_t target = labelTargets[f.label];
-            panic_if(target == SIZE_MAX, "unbound label %u", f.label);
-            panic_if(target > count, "label %u points past the end",
-                     f.label);
-            auto &inst = const_cast<PtxlInst &>(
-                static_cast<const PtxlInst &>(code->inst(f.instIdx)));
-            inst.setTargetIndex(target);
-        }
-    }
-
-  private:
-    struct Fixup
-    {
-        size_t instIdx;
-        unsigned label;
-    };
-
-    arch::KernelCode *code;
-    FinalizeStats *stats;
-    size_t count = 0;
-    std::vector<size_t> labelTargets;
-    std::vector<Fixup> fixups;
-};
-
-/** The PTXL instruction-selection walk (the Translator's structure,
- *  minus everything the GCN3 contract made it do). */
+/** PTXL instruction selection over the shared RegionWalk: the GCN3
+ *  Translator's job minus everything the GCN3 contract made it do. The
+ *  plain LabelAssembler emits: no wait tracking and no hazard tracking,
+ *  because the hardware scoreboard owns both. */
 class PtxlTranslator
 {
   public:
     PtxlTranslator(const hsail::IlKernel &il, const GpuConfig &cfg,
-                   FinalizeStats *stats)
-        : il(il), ilc(*il.code), cfg(cfg), stats(stats),
-          uni(analyzeUniformity(il)),
+                   FinalizeStats &stats)
+        : ilc(*il.code), stats(stats), walk(il),
           out(std::make_unique<arch::KernelCode>(IsaKind::PTXL,
                                                  ilc.name())),
-          a(out.get(), stats)
+          a(*out, stats)
     {
         // IL registers map 1:1 onto the general file (the IL is
         // already register-allocated); the backend adds no temps, so
@@ -157,62 +74,14 @@ class PtxlTranslator
                   "file holds %u (maxRegsPerWfPtxl)",
                   ilc.name().c_str(), ilc.vregsUsed,
                   cfg.maxRegsPerWfPtxl);
-
-        useCount.assign(ilc.vregsUsed, 0);
-        for (size_t i = 0; i < ilc.numInsts(); ++i)
-            for (const auto &op : ilc.inst(i).regOps())
-                if (!op.isDef)
-                    ++useCount[op.idx];
-
-        for (size_t r = 0; r < il.regions.size(); ++r) {
-            const CfRegion &reg = il.regions[r];
-            if (reg.kind == CfRegion::Kind::Loop) {
-                loopHeadAt[reg.bodyFirst].push_back(r);
-                loopTailAt[reg.branchIdx] = r;
-            } else {
-                ifHeadAt[reg.branchIdx] = r;
-                ifEndAt[reg.endIdx].push_back(r);
-                if (reg.kind == CfRegion::Kind::IfElse)
-                    elseAt[reg.elseJumpIdx] = r;
-            }
-        }
     }
 
     std::unique_ptr<arch::KernelCode>
     run()
     {
-        for (size_t i = 0; i < ilc.numInsts(); ++i) {
-            auto ends = ifEndAt.find(i);
-            if (ends != ifEndAt.end())
-                for (size_t r : ends->second)
-                    emitIfEnd(il.regions[r]);
+        walk.run(*this);
 
-            auto heads = loopHeadAt.find(i);
-            if (heads != loopHeadAt.end())
-                for (auto it = heads->second.rbegin();
-                     it != heads->second.rend(); ++it)
-                    emitLoopHead(il.regions[*it]);
-
-            auto ih = ifHeadAt.find(i);
-            if (ih != ifHeadAt.end()) {
-                emitIfHead(il.regions[ih->second]);
-                continue;
-            }
-            auto ej = elseAt.find(i);
-            if (ej != elseAt.end()) {
-                emitElse();
-                continue;
-            }
-            auto lt = loopTailAt.find(i);
-            if (lt != loopTailAt.end()) {
-                emitLoopTail(il.regions[lt->second]);
-                continue;
-            }
-
-            translate(i, static_cast<const HsailInst &>(ilc.inst(i)));
-        }
-
-        a.finalizeLabels();
+        a.resolveLabels();
         out->seal();
         out->execMetas();
 
@@ -226,19 +95,18 @@ class PtxlTranslator
         out->spillBytesPerWi = ilc.spillBytesPerWi;
         out->ldsBytesPerWg = ilc.ldsBytesPerWg;
 
-        if (stats) {
-            stats->vgprsUsed = out->vregsUsed;
-            stats->sgprsUsed = 0;
-        }
+        stats.vgprsUsed = out->vregsUsed;
+        stats.sgprsUsed = 0;
         return std::move(out);
     }
 
   private:
-    // --- control-flow regions --------------------------------------
+    friend class finalizer::RegionWalk;
+
+    // --- control-flow regions (the RegionWalk hooks) ----------------
 
     struct Ctx
     {
-        CfRegion::Kind kind;
         bool divergent;
         uint8_t barIdx = 0;
         unsigned elseLabel = 0;
@@ -257,11 +125,10 @@ class PtxlTranslator
     }
 
     void
-    emitIfHead(const CfRegion &r)
+    ifHead(const CfRegion &r, bool divergent)
     {
         Ctx c;
-        c.kind = r.kind;
-        c.divergent = regionDivergent(r);
+        c.divergent = divergent;
         c.endLabel = a.newLabel();
         bool has_else = r.kind == CfRegion::Kind::IfElse;
         if (has_else)
@@ -271,25 +138,25 @@ class PtxlTranslator
         // only extra cost of divergence is the barrier bracket.
         if (c.divergent) {
             c.barIdx = allocBar();
-            a.emit(PtxlInst::bssy(c.barIdx));
+            a.append(PtxlInst::bssy(c.barIdx));
         }
         ensureP0(r.condReg);
-        a.emitBranch(PtxlInst::braIf(BranchPreg, true, 0),
-                     has_else ? c.elseLabel : c.endLabel);
+        a.appendBranch(PtxlInst::braIf(BranchPreg, true, 0),
+                       has_else ? c.elseLabel : c.endLabel);
         ctx.push_back(c);
     }
 
     void
-    emitElse()
+    elseArm()
     {
         panic_if(ctx.empty(), "else outside a region");
         Ctx &c = ctx.back();
-        a.emitBranch(PtxlInst::bra(0), c.endLabel);
+        a.appendBranch(PtxlInst::bra(0), c.endLabel);
         a.bind(c.elseLabel);
     }
 
     void
-    emitIfEnd(const CfRegion &)
+    ifEnd()
     {
         panic_if(ctx.empty(), "region end without a head");
         Ctx c = ctx.back();
@@ -298,21 +165,20 @@ class PtxlTranslator
         if (c.divergent) {
             // The convergence point: every split parked by the region
             // head (or by an interior BSYNC hand-off) leads here.
-            a.emit(PtxlInst::bsync(c.barIdx));
+            a.append(PtxlInst::bsync(c.barIdx));
             --barDepth;
         }
     }
 
     void
-    emitLoopHead(const CfRegion &r)
+    loopHead(bool divergent)
     {
         Ctx c;
-        c.kind = CfRegion::Kind::Loop;
-        c.divergent = regionDivergent(r);
+        c.divergent = divergent;
         c.topLabel = a.newLabel();
         if (c.divergent) {
             c.barIdx = allocBar();
-            a.emit(PtxlInst::bssy(c.barIdx));
+            a.append(PtxlInst::bssy(c.barIdx));
         }
         // No drain at the backedge target: in-flight loads are the
         // scoreboard's problem, not the code stream's.
@@ -321,28 +187,19 @@ class PtxlTranslator
     }
 
     void
-    emitLoopTail(const CfRegion &r)
+    loopTail(const CfRegion &r)
     {
         panic_if(ctx.empty(), "loop tail without a head");
         Ctx c = ctx.back();
         ctx.pop_back();
         ensureP0(r.condReg);
-        a.emitBranch(PtxlInst::braIf(BranchPreg, false, 0), c.topLabel);
+        a.appendBranch(PtxlInst::braIf(BranchPreg, false, 0), c.topLabel);
         if (c.divergent) {
             // Lanes leaving the loop fall through here and wait for
             // the stragglers still iterating on the split stack.
-            a.emit(PtxlInst::bsync(c.barIdx));
+            a.append(PtxlInst::bsync(c.barIdx));
             --barDepth;
         }
-    }
-
-    bool
-    regionDivergent(const CfRegion &r) const
-    {
-        for (size_t i = 0; i < il.regions.size(); ++i)
-            if (&il.regions[i] == &r)
-                return uni.regionDivergent[i];
-        return true;
     }
 
     /** Make P0 hold (cond != 0), reusing the compare the ISETP
@@ -355,30 +212,14 @@ class PtxlTranslator
             return;
         }
         p0From = NoIlReg;
-        a.emit(PtxlInst::isetp(CmpOp::Ne, DataType::U32, BranchPreg,
-                               Reg{cond}, Reg{}));
-    }
-
-    /** Same peephole as the GCN3 Translator: a compare feeding only
-     *  the region branch immediately after it needs no materialized
-     *  boolean register. */
-    bool
-    feedsBranch(size_t i, uint16_t d) const
-    {
-        if (useCount[d] != 1)
-            return false;
-        auto ih = ifHeadAt.find(i + 1);
-        if (ih != ifHeadAt.end())
-            return il.regions[ih->second].condReg == d;
-        auto lt = loopTailAt.find(i + 1);
-        return lt != loopTailAt.end() &&
-               il.regions[lt->second].condReg == d;
+        a.append(PtxlInst::isetp(CmpOp::Ne, DataType::U32, BranchPreg,
+                                 Reg{cond}, Reg{}));
     }
 
     // --- main translation -------------------------------------------
 
     void
-    translate(size_t i, const HsailInst &inst)
+    inst(size_t i, const HsailInst &inst)
     {
         p0From = NoIlReg;
 
@@ -389,13 +230,13 @@ class PtxlTranslator
             translateMem(inst);
             return;
           case Opcode::Barrier:
-            a.emit(PtxlInst::barrier());
+            a.append(PtxlInst::barrier());
             return;
           case Opcode::Ret:
-            a.emit(PtxlInst::exitProgram());
+            a.append(PtxlInst::exitProgram());
             return;
           case Opcode::Nop:
-            a.emit(PtxlInst::nop());
+            a.append(PtxlInst::nop());
             return;
           case Opcode::Br:
           case Opcode::CBr:
@@ -418,30 +259,32 @@ class PtxlTranslator
 
         switch (inst.op()) {
           case Opcode::Cmp:
-            a.emit(PtxlInst::isetp(inst.cmpOp(), t, BranchPreg, A, B));
-            if (feedsBranch(i, D.idx)) {
+            // The GCN3 peephole: a compare feeding only the region
+            // branch right after it needs no materialized boolean.
+            a.append(PtxlInst::isetp(inst.cmpOp(), t, BranchPreg, A, B));
+            if (walk.feedsBranch(i, D.idx)) {
                 p0From = D.idx;
                 return;
             }
-            a.emit(PtxlInst::p2r(D, BranchPreg));
+            a.append(PtxlInst::p2r(D, BranchPreg));
             return;
           case Opcode::CMov:
-            a.emit(PtxlInst::isetp(CmpOp::Ne, DataType::U32, SelPreg,
-                                   A, Reg{}));
-            a.emit(PtxlInst::sel(t, D, SelPreg, B, C));
+            a.append(PtxlInst::isetp(CmpOp::Ne, DataType::U32, SelPreg,
+                                     A, Reg{}));
+            a.append(PtxlInst::sel(t, D, SelPreg, B, C));
             return;
           case Opcode::MovImm:
-            a.emit(PtxlInst::movImm(t, D, inst.immBits()));
+            a.append(PtxlInst::movImm(t, D, inst.immBits()));
             return;
           case Opcode::Cvt:
-            a.emit(PtxlInst::cvt(t, inst.srcType(), D, A));
+            a.append(PtxlInst::cvt(t, inst.srcType(), D, A));
             return;
           case Opcode::WorkItemAbsId:
           case Opcode::WorkItemId:
           case Opcode::WorkGroupId:
           case Opcode::WorkGroupSize:
           case Opcode::GridSize:
-            a.emit(PtxlInst::s2r(inst.op(), D));
+            a.append(PtxlInst::s2r(inst.op(), D));
             return;
           default:
             // Everything else is one ALU instruction carrying the IL
@@ -449,7 +292,7 @@ class PtxlTranslator
             // and the transcendentals GCN3 expands into multi-
             // instruction Newton-Raphson sequences (PTXL's MUFU-style
             // units own those).
-            a.emit(PtxlInst::alu(inst.op(), t, D, A, B, C));
+            a.append(PtxlInst::alu(inst.op(), t, D, A, B, C));
             return;
         }
     }
@@ -464,75 +307,34 @@ class PtxlTranslator
         int64_t off = inst.memOffset();
 
         if (inst.op() == Opcode::AtomicAdd) {
-            a.emit(PtxlInst::atomicAdd(t, D, A, off, V));
+            a.append(PtxlInst::atomicAdd(t, D, A, off, V));
             return;
         }
         if (inst.op() == Opcode::St)
-            a.emit(PtxlInst::st(inst.segment(), t, V, A, off));
+            a.append(PtxlInst::st(inst.segment(), t, V, A, off));
         else
-            a.emit(PtxlInst::ld(inst.segment(), t, D, A, off));
+            a.append(PtxlInst::ld(inst.segment(), t, D, A, off));
     }
 
-    const hsail::IlKernel &il;
     const arch::KernelCode &ilc;
-    GpuConfig cfg;
-    FinalizeStats *stats;
-    UniformityInfo uni;
+    FinalizeStats &stats;
+    RegionWalk walk;
     std::unique_ptr<arch::KernelCode> out;
-    PtxlAsm a;
+    LabelAssembler<PtxlInst> a;
 
     unsigned barDepth = 0;
-
-    std::vector<unsigned> useCount;
-    std::map<size_t, size_t> ifHeadAt;
-    std::map<size_t, size_t> elseAt;
-    std::map<size_t, size_t> loopTailAt;
-    std::map<size_t, std::vector<size_t>> ifEndAt;
-    std::map<size_t, std::vector<size_t>> loopHeadAt;
     std::vector<Ctx> ctx;
 
     uint16_t p0From = NoIlReg;
 };
 
-class PtxlBackend final : public Backend
-{
-  public:
-    IsaKind isa() const override { return IsaKind::PTXL; }
-
-    std::unique_ptr<arch::KernelCode>
-    lower(const hsail::IlKernel &il, const GpuConfig &cfg,
-          FinalizeStats *stats) const override
-    {
-        FinalizeStats local;
-        PtxlTranslator t(il, cfg, stats ? stats : &local);
-        return t.run();
-    }
-
-    uint64_t
-    configDigest(const GpuConfig &cfg) const override
-    {
-        // FNV-1a over a backend tag plus every knob the lowering
-        // reads. The tag keeps a PTXL digest from ever colliding with
-        // the GCN3 formula over equal knob values.
-        uint64_t h = 1469598103934665603ull;
-        for (uint64_t v : {uint64_t(0x4c585450u), // "PTXL"
-                           uint64_t(cfg.maxRegsPerWfPtxl)}) {
-            for (unsigned i = 0; i < 8; ++i) {
-                h ^= (v >> (8 * i)) & 0xff;
-                h *= 1099511628211ull;
-            }
-        }
-        return h;
-    }
-};
-
 } // namespace
 
-const Backend &
-ptxlBackend()
+std::unique_ptr<arch::KernelCode>
+lowerPtxl(const hsail::IlKernel &il, const GpuConfig &cfg,
+          FinalizeStats &stats)
 {
-    static const PtxlBackend backend;
-    return backend;
+    return PtxlTranslator(il, cfg, stats).run();
 }
 
 } // namespace last::finalizer

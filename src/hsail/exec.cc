@@ -7,9 +7,10 @@
  * cvt included) gets an IL active-lane handler (IlAluHandlers in
  * hsail/lane_ops.hh, shared with PTXL), which instantiates the one
  * implementation of the IL arithmetic, laneValue(), at its (opcode,
- * type). The rest runs the reference executor, called non-virtually:
- * memory (whose lane body, arch/lane_mem.hh, all three levels share),
- * branches and the dispatch intrinsics.
+ * type). Nop, ret and barrier run the trivial control handlers PTXL
+ * shares (arch/exec_meta.hh). The rest runs the reference executor,
+ * called non-virtually: memory (whose lane body, arch/lane_mem.hh, all
+ * three levels share), branches and the dispatch intrinsics.
  *
  * Correctness contract: every handler is bit-identical to the
  * corresponding piece of HsailInst::execute(), save the float results
@@ -38,28 +39,6 @@ struct HsailExec
         return static_cast<const HsailInst &>(*m.inst);
     }
 
-    /** @{ Trivial control handlers (reference: execute() switch). */
-    static void
-    nopH(const Meta &, Wf &wf)
-    {
-        wf.nextPc = wf.pc + HsailInst::EncodedBytes;
-    }
-
-    static void
-    retH(const Meta &, Wf &wf)
-    {
-        wf.nextPc = wf.pc + HsailInst::EncodedBytes;
-        wf.done = true;
-    }
-
-    static void
-    barrierH(const Meta &, Wf &wf)
-    {
-        wf.nextPc = wf.pc + HsailInst::EncodedBytes;
-        wf.atBarrier = true;
-    }
-    /** @} */
-
     static arch::ExecHandler
     pick(const HsailInst &I)
     {
@@ -71,9 +50,9 @@ struct HsailExec
           case Opcode::Br:
           case Opcode::CBr:
             return &arch::refH<HsailInst, &HsailInst::executeBranch>;
-          case Opcode::Barrier: return &barrierH;
-          case Opcode::Ret: return &retH;
-          case Opcode::Nop: return &nopH;
+          case Opcode::Barrier: return &arch::barrierH;
+          case Opcode::Ret: return &arch::endH;
+          case Opcode::Nop: return &arch::nopH;
           default:
             if (arch::ExecHandler h =
                     IlAluHandlers<HsailInst>::pick(I, I.opc))

@@ -114,24 +114,24 @@ writeEvent(std::ostream &os, const TraceStream &s, const TraceEvent &e,
     switch (e.kind) {
       case TraceKind::InstIssue:
         name = arch::instClassName(arch::InstClass(e.arg1 & 0xf));
-        args = "\"slot\":" + jsonNumber(double(e.arg0)) +
-               ",\"pc\":" + jsonNumber(double(e.arg1 >> 4));
+        args.append("\"slot\":").append(jsonNumber(double(e.arg0)))
+            .append(",\"pc\":").append(jsonNumber(double(e.arg1 >> 4)));
         break;
       case TraceKind::DepStall:
         name = e.arg1 ? "waitcnt_stall" : "scoreboard_stall";
-        args = "\"slot\":" + jsonNumber(double(e.arg0));
+        args.append("\"slot\":").append(jsonNumber(double(e.arg0)));
         break;
       case TraceKind::KernelDispatch:
       case TraceKind::Watchdog:
-        args = "\"" + std::string(info.arg0Label) + "\":\"" +
-               jsonEscape(s.string(e.arg0)) + "\"";
+        args.append("\"").append(info.arg0Label).append("\":\"")
+            .append(jsonEscape(s.string(e.arg0))).append("\"");
         break;
       default:
-        args = "\"" + std::string(info.arg0Label) +
-               "\":" + jsonNumber(double(e.arg0));
+        args.append("\"").append(info.arg0Label).append("\":")
+            .append(jsonNumber(double(e.arg0)));
         if (info.arg1Label)
-            args += ",\"" + std::string(info.arg1Label) +
-                    "\":" + jsonNumber(double(e.arg1));
+            args.append(",\"").append(info.arg1Label).append("\":")
+                .append(jsonNumber(double(e.arg1)));
     }
     if (e.kind == TraceKind::KernelDispatch)
         name = "kernel " + s.string(e.arg0);

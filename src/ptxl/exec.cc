@@ -9,7 +9,8 @@
  * (IlAluHandlers in hsail/lane_ops.hh), which instantiates the one
  * implementation of the IL arithmetic, laneValue(), at its (opcode,
  * type); this file holds only what is PTXL's own: S2R's broadcast and
- * the trivial control handlers. Everything else has one
+ * BSSY (the trivial control handlers are arch/exec_meta.hh's, shared
+ * with HSAIL). Everything else has one
  * implementation, the reference executor, called non-virtually: memory
  * (the IL's segment addressing in hsail/lane_ops.hh over the lane body
  * all three levels share, arch/lane_mem.hh), ISETP, SEL/P2R, branches
@@ -44,27 +45,8 @@ struct PtxlExec
         return static_cast<const PtxlInst &>(*m.inst);
     }
 
-    /** @{ Control handlers (reference: execute() switch). */
-    static void
-    nopH(const Meta &, Wf &wf)
-    {
-        wf.nextPc = wf.pc + PtxlInst::EncodedBytes;
-    }
-
-    static void
-    exitH(const Meta &, Wf &wf)
-    {
-        wf.nextPc = wf.pc + PtxlInst::EncodedBytes;
-        wf.done = true;
-    }
-
-    static void
-    barH(const Meta &, Wf &wf)
-    {
-        wf.nextPc = wf.pc + PtxlInst::EncodedBytes;
-        wf.atBarrier = true;
-    }
-
+    /** BSSY: snapshot the member mask into a convergence barrier
+     *  (reference: execute() switch). */
     static void
     bssyH(const Meta &m, Wf &wf)
     {
@@ -73,7 +55,6 @@ struct PtxlExec
         wf.cbarExpected[I.bar] = wf.exec;
         wf.cbarArrived[I.bar] = 0;
     }
-    /** @} */
 
     /** S2R: broadcast a special register into the active lanes. */
     static void
@@ -107,9 +88,9 @@ struct PtxlExec
           case PtxlOp::Bssy: return &bssyH;
           case PtxlOp::Bsync:
             return &arch::refH<PtxlInst, &PtxlInst::executeBsync>;
-          case PtxlOp::Bar: return &barH;
-          case PtxlOp::Exit: return &exitH;
-          case PtxlOp::Nop: return &nopH;
+          case PtxlOp::Bar: return &arch::barrierH;
+          case PtxlOp::Exit: return &arch::endH;
+          case PtxlOp::Nop: return &arch::nopH;
           case PtxlOp::Isetp:
             return &arch::refH<PtxlInst, &PtxlInst::executeIsetp>;
           case PtxlOp::S2r:

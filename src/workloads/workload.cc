@@ -1,7 +1,6 @@
 #include "workloads/workload.hh"
 
-#include "common/logging.hh"
-#include "finalizer/backend.hh"
+#include "finalizer/finalizer.hh"
 #include "finalizer/regalloc.hh"
 #include "sim/artifact_cache.hh"
 
@@ -12,7 +11,7 @@ namespace
 {
 
 /** Run the (expensive) compile pipeline: IL register compaction for
- *  every path, plus the per-ISA backend lowering for machine ISAs. */
+ *  every path, plus the lowering for machine ISAs. */
 std::shared_ptr<const arch::KernelCode>
 buildArtifact(hsail::IlKernel &&il, IsaKind isa, const GpuConfig &cfg)
 {
@@ -21,10 +20,10 @@ buildArtifact(hsail::IlKernel &&il, IsaKind isa, const GpuConfig &cfg)
     // 2,048-register space happens for every path (a machine backend
     // then re-allocates into its much smaller files).
     finalizer::compactIlRegisters(kept);
-    if (const auto *backend = finalizer::backendFor(isa))
-        return backend->lower(kept, cfg, nullptr);
-    return std::shared_ptr<const arch::KernelCode>(
-        std::move(kept.code));
+    if (isa == IsaKind::HSAIL)
+        return std::shared_ptr<const arch::KernelCode>(
+            std::move(kept.code));
+    return finalizer::finalize(kept, isa, cfg);
 }
 
 } // namespace
@@ -39,30 +38,21 @@ Workload::prepare(hsail::IlKernel &&il, IsaKind isa,
     // artifacts with (or pollute the cache of) clean runs.
     bool cacheable =
         sim::ArtifactCache::enabled() && cfg.faultPlan == nullptr;
-    if (cacheable) {
-        uint64_t content = hsail::ilDigest(il);
-        // Machine artifacts additionally depend on the backend's
-        // config knobs (the GCN3 fold predates the Backend interface
-        // and must stay byte-identical so existing cache rows keep
-        // their digests).
-        if (const auto *backend = finalizer::backendFor(isa))
-            content = (content ^ backend->configDigest(cfg)) *
-                      1099511628211ull;
-        auto artifact = sim::ArtifactCache::instance().getOrBuild(
-            {name(), isa, artifactScale, seq, artifactParams}, content,
-            [&] { return buildArtifact(std::move(il), isa, cfg); });
-        sharedKernels.push_back(artifact);
+    if (!cacheable) {
+        sharedKernels.push_back(buildArtifact(std::move(il), isa, cfg));
         return *sharedKernels.back();
     }
-
-    ownedIl.push_back(std::move(il));
-    hsail::IlKernel &kept = ownedIl.back();
-    finalizer::compactIlRegisters(kept);
-    const auto *backend = finalizer::backendFor(isa);
-    if (!backend)
-        return *kept.code;
-    ownedKernels.push_back(backend->lower(kept, cfg, nullptr));
-    return *ownedKernels.back();
+    // The content digest feeds only the cache's soundness check (a hit
+    // whose digest differs panics); no cache row stores it. A machine
+    // artifact also depends on the lowering's config knobs.
+    uint64_t content = hsail::ilDigest(il);
+    if (isa != IsaKind::HSAIL)
+        content = (content ^ finalizer::finalizeConfigDigest(cfg, isa)) *
+                  1099511628211ull;
+    sharedKernels.push_back(sim::ArtifactCache::instance().getOrBuild(
+        {name(), isa, artifactScale, seq, artifactParams}, content,
+        [&] { return buildArtifact(std::move(il), isa, cfg); }));
+    return *sharedKernels.back();
 }
 
 void

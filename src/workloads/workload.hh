@@ -76,7 +76,7 @@ class Workload
   protected:
     /**
      * Prepare an IL kernel for execution at `isa`: the IL code itself
-     * or the finalized GCN3 code. Served from the process-wide
+     * or its finalized machine code. Served from the process-wide
      * artifact cache when possible (keyed on workload/isa/scale and
      * the call order); fault-injection configs build privately so a
      * perturbed run can never share state with a clean one. The
@@ -91,8 +91,6 @@ class Workload
     uint64_t digest = 1469598103934665603ull;
 
   private:
-    std::vector<std::unique_ptr<arch::KernelCode>> ownedKernels;
-    std::vector<hsail::IlKernel> ownedIl;
     std::vector<std::shared_ptr<const arch::KernelCode>> sharedKernels;
     double artifactScale = 1.0;
     uint64_t artifactParams = 0;

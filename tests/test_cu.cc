@@ -41,7 +41,7 @@ runKernel(IlKernel &&il, IsaKind isa, unsigned grid, unsigned wg,
     finalizer::compactIlRegisters(r.il);
     arch::KernelCode *code = r.il.code.get();
     if (isa == IsaKind::GCN3) {
-        r.gcn = finalizer::finalize(r.il, r.rt->config());
+        r.gcn = finalizer::finalize(r.il, IsaKind::GCN3, r.rt->config());
         code = r.gcn.get();
     }
     r.cycles = r.rt->dispatch(*code, grid, wg, args, arg_bytes);

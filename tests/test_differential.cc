@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "finalizer/backend.hh"
 #include "finalizer/finalizer.hh"
 #include "finalizer/regalloc.hh"
 #include "helpers.hh"

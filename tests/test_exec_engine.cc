@@ -137,7 +137,7 @@ TEST(ExecEngine, PredecodedMetaAgreesWithInstruction)
         auto il = last::test::randomKernel(seed);
         finalizer::compactIlRegisters(il);
         checkKernel(*il.code);
-        auto gcn = finalizer::finalize(il, rt.config());
+        auto gcn = finalizer::finalize(il, IsaKind::GCN3, rt.config());
         checkKernel(*gcn);
     }
 }

@@ -58,7 +58,7 @@ TEST(FinalizerAbi, Table1WorkitemAbsIdExpansion)
     Val gid = kb.workitemAbsId();
     kb.stGlobal(gid, kb.immU64(0x1000));
     auto il = kb.build();
-    auto code = finalize(il, GpuConfig{});
+    auto code = finalize(il, IsaKind::GCN3, GpuConfig{});
     auto ms = mnemonics(*code);
     // The paper's five-instruction sequence (the waitcnt is inserted
     // automatically before the first use of the loaded value).
@@ -76,7 +76,7 @@ TEST(FinalizerAbi, Table2KernargExpansion)
     Val v = kb.ldGlobal(DataType::U32, p);
     kb.stGlobal(v, p, 64);
     auto il = kb.build();
-    auto code = finalize(il, GpuConfig{});
+    auto code = finalize(il, IsaKind::GCN3, GpuConfig{});
     auto ms = mnemonics(*code);
     // Kernarg comes through s[6:7]; the flat address needs the
     // scalar base moved into vector registers (two v_movs).
@@ -95,7 +95,7 @@ TEST(FinalizerAbi, Table3DivideExpansion)
     kb.stGlobal(q, kb.immU64(0x1000));
     auto il = kb.build();
     FinalizeStats st;
-    auto code = finalize(il, GpuConfig{}, &st);
+    auto code = finalize(il, IsaKind::GCN3, GpuConfig{}, &st);
     auto ms = mnemonics(*code);
     EXPECT_EQ(count(ms, "v_div_scale_f64"), 2u);
     EXPECT_EQ(count(ms, "v_rcp_f64"), 1u);
@@ -112,7 +112,7 @@ TEST(FinalizerAbi, F32DivideExpansion)
     Val q = kb.div(kb.immF32(1.0f), kb.immF32(7.0f));
     kb.stGlobal(q, kb.immU64(0x1000));
     auto il = kb.build();
-    auto code = finalize(il, GpuConfig{});
+    auto code = finalize(il, IsaKind::GCN3, GpuConfig{});
     auto ms = mnemonics(*code);
     EXPECT_EQ(count(ms, "v_div_scale_f32"), 2u);
     EXPECT_EQ(count(ms, "v_div_fixup_f32"), 1u);
@@ -124,7 +124,7 @@ TEST(FinalizerAbi, IntegerDivisionRejected)
     Val q = kb.div(kb.immU32(10), kb.immU32(3));
     kb.stGlobal(q, kb.immU64(0x1000));
     auto il = kb.build();
-    EXPECT_THROW(finalize(il, GpuConfig{}), std::runtime_error);
+    EXPECT_THROW(finalize(il, IsaKind::GCN3, GpuConfig{}), std::runtime_error);
 }
 
 TEST(FinalizerScalar, UniformLoopUsesScalarBranch)
@@ -140,7 +140,7 @@ TEST(FinalizerScalar, UniformLoopUsesScalarBranch)
     kb.stGlobal(acc, kb.immU64(0x1000));
     auto il = kb.build();
     FinalizeStats st;
-    auto code = finalize(il, GpuConfig{}, &st);
+    auto code = finalize(il, IsaKind::GCN3, GpuConfig{}, &st);
     auto ms = mnemonics(*code);
     EXPECT_GE(count(ms, "s_cbranch_scc1"), 1u) << code->disassemble();
     EXPECT_EQ(count(ms, "s_and_saveexec_b64"), 0u);
@@ -160,7 +160,7 @@ TEST(FinalizerScalar, DivergentIfUsesExecMask)
     kb.ifEnd();
     kb.stGlobal(r, kb.immU64(0x1000));
     auto il = kb.build();
-    auto code = finalize(il, GpuConfig{});
+    auto code = finalize(il, IsaKind::GCN3, GpuConfig{});
     auto ms = mnemonics(*code);
     EXPECT_EQ(count(ms, "s_and_saveexec_b64"), 1u)
         << code->disassemble();
@@ -181,7 +181,7 @@ TEST(FinalizerScalar, DivergentIfElseUsesXor)
     kb.ifEnd();
     kb.stGlobal(r, kb.immU64(0x1000));
     auto il = kb.build();
-    auto code = finalize(il, GpuConfig{});
+    auto code = finalize(il, IsaKind::GCN3, GpuConfig{});
     auto ms = mnemonics(*code);
     EXPECT_EQ(count(ms, "s_xor_b64"), 1u) << code->disassemble();
 }
@@ -241,7 +241,7 @@ TEST(FinalizerDeps, WaitcntBeforeFirstUse)
     kb.stGlobal(w, p, 4);
     auto il = kb.build();
     FinalizeStats st;
-    auto code = finalize(il, GpuConfig{}, &st);
+    auto code = finalize(il, IsaKind::GCN3, GpuConfig{}, &st);
     EXPECT_GT(st.waitcntInserted, 0u);
     // Scan: between every flat_load and the first read of its dest
     // there must be an s_waitcnt with vmcnt(0).
@@ -266,7 +266,7 @@ TEST(FinalizerDeps, EndpgmDrainsStores)
     KernelBuilder kb("drain");
     kb.stGlobal(kb.immU32(1), kb.immU64(0x1000));
     auto il = kb.build();
-    auto code = finalize(il, GpuConfig{});
+    auto code = finalize(il, IsaKind::GCN3, GpuConfig{});
     auto ms = mnemonics(*code);
     // Last two instructions: waitcnt then endpgm.
     ASSERT_GE(ms.size(), 2u);
@@ -284,7 +284,7 @@ TEST(FinalizerDeps, NopAfterVccProducerBeforeScalarRead)
     kb.ifEnd();
     auto il = kb.build();
     FinalizeStats st;
-    auto code = finalize(il, GpuConfig{}, &st);
+    auto code = finalize(il, IsaKind::GCN3, GpuConfig{}, &st);
     auto ms = mnemonics(*code);
     // v_cmp writes vcc; s_and_saveexec reads it the next slot: a
     // deterministic-latency bubble must be inserted.
@@ -304,7 +304,7 @@ TEST(FinalizerDeps, BarrierWaitsEverything)
     Val v = kb.ldGroup(DataType::U32, kb.mul(lid, kb.immU32(4)));
     kb.stGlobal(v, kb.immU64(0x2000));
     auto il = kb.build();
-    auto code = finalize(il, GpuConfig{});
+    auto code = finalize(il, IsaKind::GCN3, GpuConfig{});
     auto ms = mnemonics(*code);
     bool ok = false;
     for (size_t i = 0; i + 1 < ms.size(); ++i)
@@ -319,7 +319,7 @@ TEST(FinalizerCode, ExpansionRatioInPaperRange)
     for (uint64_t seed : {1, 2, 3, 4, 5}) {
         auto il = last::test::randomKernel(seed);
         finalizer::compactIlRegisters(il);
-        auto code = finalize(il, GpuConfig{});
+        auto code = finalize(il, IsaKind::GCN3, GpuConfig{});
         EXPECT_GT(code->numInsts(), il.code->numInsts())
             << "seed " << seed;
         EXPECT_LT(code->numInsts(), il.code->numInsts() * 6)
@@ -331,7 +331,7 @@ TEST(FinalizerCode, FootprintUsesVariableEncoding)
 {
     auto il = last::test::randomKernel(9);
     finalizer::compactIlRegisters(il);
-    auto code = finalize(il, GpuConfig{});
+    auto code = finalize(il, IsaKind::GCN3, GpuConfig{});
     uint64_t bytes = 0;
     bool saw4 = false, saw8 = false;
     for (size_t i = 0; i < code->numInsts(); ++i) {
@@ -351,7 +351,7 @@ TEST(FinalizerCode, ResourceMetadataPlausible)
     finalizer::compactIlRegisters(il);
     FinalizeStats st;
     GpuConfig cfg;
-    auto code = finalize(il, cfg, &st);
+    auto code = finalize(il, IsaKind::GCN3, cfg, &st);
     EXPECT_LE(code->vregsUsed, cfg.maxVgprsPerWfGcn3);
     EXPECT_LE(code->sregsUsed, cfg.maxSgprsPerWfGcn3);
     EXPECT_EQ(st.vgprsUsed, code->vregsUsed);

@@ -36,7 +36,7 @@
 
 #include "arch/exec_meta.hh"
 #include "arch/kernel_code.hh"
-#include "finalizer/backend.hh"
+#include "finalizer/finalizer.hh"
 #include "gcn3/inst.hh"
 #include "helpers.hh"
 #include "hsail/lane_ops.hh"

@@ -2,7 +2,8 @@
  * @file
  * Parameterized property sweeps:
  *  - GCN3 VALU semantics against host arithmetic over an operand grid;
- *  - nested control-flow structures execute identically on both ISAs;
+ *  - nested control-flow structures execute identically at all three
+ *    levels;
  *  - per-workload abstraction-gap invariants (the paper's qualitative
  *    claims as assertions).
  */
@@ -270,7 +271,7 @@ INSTANTIATE_TEST_SUITE_P(Ops, Gcn3ValuSweep,
                          });
 
 // ---------------------------------------------------------------------
-// Nested control-flow structures: both ISAs, identical results.
+// Nested control-flow structures: all three levels, identical results.
 // ---------------------------------------------------------------------
 
 namespace
@@ -369,6 +370,45 @@ class ControlShapeSweep : public ::testing::TestWithParam<int>
                 kb.doEnd(kb.cmp(CmpOp::Lt, j, kb.immU32(8)));
             }
             break;
+          case 5: // two divergent loops inside a uniform one, all three
+                  // bodies starting at the same instruction (the uniform
+                  // loop makes the order they open in matter)
+            {
+                Val j = kb.and_(gid, kb.immU32(3));
+                Val k = kb.immU32(0);
+                Val u = kb.immU32(0);
+                kb.doBegin();
+                kb.doBegin();
+                kb.doBegin();
+                kb.emitAluTo(Opcode::Add, acc, acc, kb.immU32(5));
+                kb.emitAluTo(Opcode::Add, j, j, one);
+                kb.doEnd(kb.cmp(CmpOp::Lt, j, kb.immU32(4)));
+                kb.emitAluTo(Opcode::Add, k, k, one);
+                kb.doEnd(kb.cmp(CmpOp::Lt, k, kb.and_(gid, kb.immU32(3))));
+                kb.emitAluTo(Opcode::Add, u, u, one);
+                kb.doEnd(kb.cmp(CmpOp::Lt, u, kb.immU32(2)));
+            }
+            break;
+          case 6: // two divergent ifs close where a divergent loop opens
+            {
+                Val j = kb.and_(gid, kb.immU32(7));
+                Val c1 = kb.cmp(CmpOp::Lt, j, kb.immU32(5));
+                kb.ifBegin(c1);
+                {
+                    Val c2 = kb.cmp(CmpOp::Lt,
+                                    kb.and_(gid, kb.immU32(3)),
+                                    kb.immU32(2));
+                    kb.ifBegin(c2);
+                    kb.emitAluTo(Opcode::Add, acc, acc, kb.immU32(3));
+                    kb.ifEnd();
+                }
+                kb.ifEnd();
+                kb.doBegin();
+                kb.emitAluTo(Opcode::Add, acc, acc, kb.immU32(7));
+                kb.emitAluTo(Opcode::Add, j, j, one);
+                kb.doEnd(kb.cmp(CmpOp::Lt, j, kb.immU32(8)));
+            }
+            break;
           default:
             break;
         }
@@ -381,21 +421,23 @@ class ControlShapeSweep : public ::testing::TestWithParam<int>
 
 } // namespace
 
+// The name predates PTXL: every shape runs at all three levels.
 TEST_P(ControlShapeSweep, BothIsasAgree)
 {
     constexpr Addr out = 0x40000;
     constexpr unsigned grid = 256;
-    std::vector<uint32_t> results[2];
+    std::vector<uint32_t> results[3];
     int k = 0;
-    for (IsaKind isa : {IsaKind::HSAIL, IsaKind::GCN3}) {
+    for (IsaKind isa : AllIsas) {
+        SCOPED_TRACE(isaName(isa));
         runtime::Runtime rt;
         auto il = makeKernel(GetParam(), out);
         finalizer::compactIlRegisters(il);
-        std::unique_ptr<arch::KernelCode> gcn;
+        std::unique_ptr<arch::KernelCode> machine;
         arch::KernelCode *code = il.code.get();
-        if (isa == IsaKind::GCN3) {
-            gcn = finalizer::finalize(il, rt.config());
-            code = gcn.get();
+        if (isa != IsaKind::HSAIL) {
+            machine = finalizer::finalize(il, isa, rt.config());
+            code = machine.get();
         }
         rt.dispatch(*code, grid, 256, nullptr, 0);
         results[k].resize(grid);
@@ -404,10 +446,11 @@ TEST_P(ControlShapeSweep, BothIsasAgree)
         ++k;
     }
     EXPECT_EQ(results[0], results[1]) << "shape " << GetParam();
+    EXPECT_EQ(results[0], results[2]) << "shape " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ControlShapeSweep,
-                         ::testing::Range(0, 5));
+                         ::testing::Range(0, 7));
 
 // ---------------------------------------------------------------------
 // Per-workload abstraction-gap invariants (the paper's claims).

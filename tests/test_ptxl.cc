@@ -25,7 +25,7 @@
 
 #include "arch/exec_meta.hh"
 #include "arch/kernel_code.hh"
-#include "finalizer/backend.hh"
+#include "finalizer/finalizer.hh"
 #include "finalizer/regalloc.hh"
 #include "helpers.hh"
 #include "hsail/ipdom.hh"

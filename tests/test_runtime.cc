@@ -61,7 +61,7 @@ TEST(Runtime, Gcn3ReadsPacketThroughMemory)
     kb.stGlobal(kb.workgroupSize(), p);
     auto il = kb.build();
     finalizer::compactIlRegisters(il);
-    auto gcn = finalizer::finalize(il, rt.config());
+    auto gcn = finalizer::finalize(il, IsaKind::GCN3, rt.config());
 
     Addr out = rt.allocGlobal(64);
     struct Args
@@ -144,7 +144,7 @@ TEST(Runtime, Gcn3ReusesProcessScratch)
     runtime::Runtime rt;
     auto il = privateKernel();
     finalizer::compactIlRegisters(il);
-    auto gcn = finalizer::finalize(il, rt.config());
+    auto gcn = finalizer::finalize(il, IsaKind::GCN3, rt.config());
     rt.dispatch(*gcn, 256, 256, nullptr, 0);
     uint64_t f1 = rt.dataFootprintBytes();
     rt.dispatch(*gcn, 256, 256, nullptr, 0);

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "finalizer/backend.hh"
 #include "finalizer/finalizer.hh"
 #include "finalizer/regalloc.hh"
 #include "helpers.hh"
@@ -406,14 +405,14 @@ TEST(StressWorkloads, LdsSwizzleKnobVariantsDoNotAliasInCache)
 TEST(StressWorkloads, BackendVariantsDoNotAliasInArtifactCache)
 {
     // GCN3 and PTXL lower the SAME IL under the SAME (workload, scale,
-    // seq) — only the backend differs. The artifact-cache key folds in
-    // the backend's configDigest, so interleaving vendors with the
-    // cache hot must re-serve each backend its own KernelCode: re-runs
-    // are pure hits (miss count frozen) and keep their vendor's
-    // machine-shape signature. An aliased entry would hand PTXL a
-    // scalarized, waitcnt-carrying GCN3 kernel (or GCN3 a
-    // barrier-bracketed PTXL one) — invisible in the digest, loud in
-    // the pipe mix.
+    // seq) — only the ISA differs. The artifact-cache key names the
+    // ISA (and the content digest folds in finalizeConfigDigest(cfg,
+    // isa)), so interleaving vendors with the cache hot must re-serve
+    // each ISA its own KernelCode: re-runs are pure hits (miss count
+    // frozen) and keep their vendor's machine-shape signature. An
+    // aliased entry would hand PTXL a scalarized, waitcnt-carrying
+    // GCN3 kernel (or GCN3 a barrier-bracketed PTXL one) — invisible
+    // in the digest, loud in the pipe mix.
     sim::ArtifactCache::setEnabled(true);
     sim::ArtifactCache::instance().clear();
 
